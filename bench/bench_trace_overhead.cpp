@@ -13,10 +13,9 @@
 // leans on since the profiling layer landed:
 //   * span_enter_exit       — one HCSCHED_SPAN open/close, no sink / ring
 //                             sink (the per-iteration span cost),
-//   * metric_counter_add    — one HCSCHED_METRIC_COUNT hit (cached-static
-//                             lookup plus a relaxed fetch_add),
-//   * metric_histogram_rec  — one HCSCHED_METRIC_OBSERVE (bucket index plus
-//                             three relaxed fetch_adds).
+//   * metric_histogram_rec  — one HCSCHED_METRIC_OBSERVE (cached-static
+//                             lookup, bucket index, three relaxed fetch_adds
+//                             and a relaxed max).
 //
 // Build the library with -DHCSCHED_TRACE=0 (the `trace-off` preset) and
 // re-run to verify the compile-time kill switch: every row collapses onto
@@ -119,16 +118,8 @@ void BM_SpanEnterExitRingSink(benchmark::State& state) {
                                        : "trace compiled out");
 }
 
-void BM_MetricCounterAdd(benchmark::State& state) {
-  for (auto _ : state) {
-    HCSCHED_METRIC_COUNT("hcsched_bench_probe_total", "", 1);
-  }
-  state.SetLabel(obs::kTraceCompiledIn ? "trace compiled in"
-                                       : "trace compiled out");
-}
-
 void BM_MetricHistogramRecord(benchmark::State& state) {
-  std::uint64_t v = 0;
+  [[maybe_unused]] std::uint64_t v = 0;
   for (auto _ : state) {
     HCSCHED_METRIC_OBSERVE("hcsched_bench_probe_ns", "", ++v);
   }
@@ -142,7 +133,6 @@ BENCHMARK(BM_RingSink)->Arg(64)->Arg(256);
 BENCHMARK(BM_JsonlSink)->Arg(64)->Arg(256);
 BENCHMARK(BM_SpanEnterExitNoSink);
 BENCHMARK(BM_SpanEnterExitRingSink);
-BENCHMARK(BM_MetricCounterAdd);
 BENCHMARK(BM_MetricHistogramRecord);
 
 }  // namespace

@@ -28,7 +28,6 @@
 #include "heuristics/fastpath/reuse.hpp"
 #include "heuristics/fastpath/workspace.hpp"
 #include "obs/counters.hpp"
-#include "obs/metrics.hpp"
 #include "obs/span.hpp"
 
 namespace hcsched::heuristics::fastpath {
@@ -159,10 +158,6 @@ Schedule two_phase_greedy_fast(const Problem& problem, TieBreaker& ties,
       if (std::find(tied, tied_end, slot) != tied_end) stale[p] = 1;
     }
   }
-  HCSCHED_METRIC_COUNT("hcsched_fastpath_rescores_total",
-                       "Fastpath phase-one full rescores", rescores);
-  HCSCHED_METRIC_COUNT("hcsched_fastpath_replays_total",
-                       "Fastpath phase-one cached replays", replays);
   HCSCHED_SPAN_ATTR(kernel_span, "rescores", obs::JsonValue(rescores));
   HCSCHED_SPAN_ATTR(kernel_span, "replays", obs::JsonValue(replays));
   return schedule;

@@ -3,7 +3,6 @@
 #include "obs/counters.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 #include "sim/fault/fault.hpp"  // dependency-light by design (see its header)
 
 #if HCSCHED_TRACE
@@ -15,20 +14,19 @@ namespace hcsched::heuristics {
 namespace {
 
 #if HCSCHED_TRACE
-/// Times one heuristic invocation and feeds the counter/timing registries
-/// (and the tracer, when a sink is installed) on scope exit.
+/// Times one heuristic invocation: a `map:<H>` span, the invocation counter
+/// and one `hcsched_heuristic_map_ns` observation on scope exit.
 class CallScope {
  public:
   CallScope(const Heuristic& heuristic, const Problem& problem, bool seeded)
-      : heuristic_(heuristic),
-        problem_(problem),
-        seeded_(seeded),
-        span_("map:" + std::string(heuristic.name())),
+      : span_("map:" + std::string(heuristic.name())),
         start_(std::chrono::steady_clock::now()) {
     // The span inherits the calling context (iteration span, trial span)
     // so per-heuristic time lands under the right profile path.
     if (span_.recording()) {
       span_.attr("heuristic", obs::JsonValue(heuristic.name()));
+      span_.attr("tasks", obs::JsonValue(problem.num_tasks()));
+      span_.attr("machines", obs::JsonValue(problem.num_machines()));
       span_.attr("seeded", obs::JsonValue(seeded));
     }
   }
@@ -39,24 +37,11 @@ class CallScope {
         std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
             .count());
     obs::counters::add(obs::Counter::kHeuristicInvocations);
-    obs::record_heuristic_call(heuristic_.name(), ns);
-    HCSCHED_METRIC_COUNT("hcsched_heuristic_invocations_total",
-                         "Heuristic map/map_seeded calls", 1);
     HCSCHED_METRIC_OBSERVE("hcsched_heuristic_map_ns",
                            "Latency of one heuristic mapping call", ns);
-    HCSCHED_TRACE_EVENT(
-        "heuristic.call",
-        {{"heuristic", obs::JsonValue(heuristic_.name())},
-         {"tasks", obs::JsonValue(problem_.num_tasks())},
-         {"machines", obs::JsonValue(problem_.num_machines())},
-         {"seeded", obs::JsonValue(seeded_)},
-         {"duration_ns", obs::JsonValue(ns)}});
   }
 
  private:
-  const Heuristic& heuristic_;
-  const Problem& problem_;
-  bool seeded_;
   // Declared before start_ so the span's window covers the whole call and
   // closes (emits) after the duration is taken.
   obs::ScopedSpan span_;

@@ -40,7 +40,8 @@ class Heuristic {
   virtual std::string_view name() const noexcept = 0;
 
   /// Produces a complete schedule for `problem`. Instrumented: counts the
-  /// invocation, times it, and credits the per-heuristic timing registry.
+  /// invocation, times it into `hcsched_heuristic_map_ns`, and opens a
+  /// `map:<name>` span.
   Schedule map(const Problem& problem, TieBreaker& ties) const;
 
   /// Like map(), but with an optional warm-start mapping from the previous

@@ -6,7 +6,7 @@
 
 #include "core/cancel.hpp"
 #include "heuristics/minmin.hpp"
-#include "obs/metrics.hpp"
+#include "obs/counters.hpp"
 
 namespace hcsched::heuristics {
 
@@ -195,10 +195,8 @@ Schedule LocalSearch::do_map_seeded(const Problem& problem, TieBreaker& ties,
     }
   }
 
-  HCSCHED_METRIC_COUNT("hcsched_localsearch_steps_total",
-                       "Local-search neighborhood steps applied", steps);
-  HCSCHED_METRIC_COUNT("hcsched_localsearch_restarts_total",
-                       "Local-search random-disruption restarts", restarts);
+  HCSCHED_COUNT(obs::Counter::kLocalSearchSteps, steps);
+  HCSCHED_COUNT(obs::Counter::kLocalSearchRestarts, restarts);
   (void)ties;  // stochastic decisions come from the private seeded stream
   return best.decode(problem);
 }

@@ -1,10 +1,6 @@
 #include "obs/counters.hpp"
 
-#include <algorithm>
-#include <bit>
-#include <map>
-
-#include "core/thread_annotations.hpp"
+#include <atomic>
 
 namespace hcsched::obs {
 
@@ -15,9 +11,7 @@ namespace {
 // an ordering that later non-atomic reads depend on — so relaxed ordering
 // is correct throughout. Cross-thread visibility of the *buffered* values
 // is provided by thread join / CounterScope destruction, not by these
-// atomics. Totals across {count_, total_ns_, buckets_} are only mutually
-// consistent once writers are quiescent; snapshot() documents the same for
-// unflushed buffers.
+// atomics; snapshot() documents the same for unflushed buffers.
 
 // Global table. Atomics receive whole thread-local buffers at flush time, so
 // contention is proportional to flush frequency, not to add() frequency.
@@ -50,21 +44,6 @@ ThreadBuffer& thread_buffer() noexcept {
   return buffer;
 }
 
-std::atomic<std::uint64_t> g_max_queue_depth{0};
-
-/// Per-heuristic timing registry behind its own capability; function-local
-/// static so the registry outlives every worker thread that feeds it.
-struct TimingRegistry {
-  core::Mutex mutex;
-  std::map<std::string, HeuristicTiming, std::less<>> map
-      HCSCHED_GUARDED_BY(mutex){};
-};
-
-TimingRegistry& timings() {
-  static TimingRegistry registry;
-  return registry;
-}
-
 constexpr std::array<std::string_view, kNumCounters> kCounterNames = {
     "heuristic_invocations", "etc_cell_evaluations",
     "tie_decisions",         "tie_events",
@@ -76,16 +55,8 @@ constexpr std::array<std::string_view, kNumCounters> kCounterNames = {
     "faults_injected",       "trials_quarantined",
     "studies_cancelled",     "checkpoint_trials_written",
     "checkpoint_trials_replayed", "checkpoint_corrupt_lines",
+    "localsearch_steps",     "localsearch_restarts",
 };
-
-void atomic_store_max(std::atomic<std::uint64_t>& slot,
-                      std::uint64_t candidate) noexcept {
-  std::uint64_t current = slot.load(std::memory_order_relaxed);
-  while (candidate > current &&
-         !slot.compare_exchange_weak(current, candidate,
-                                     std::memory_order_relaxed)) {
-  }
-}
 
 }  // namespace
 
@@ -138,122 +109,21 @@ void reset() {
   for (auto& slot : global_table()) {
     slot.store(0, std::memory_order_relaxed);
   }
-  pool_wait_histogram().reset();
-  pool_run_histogram().reset();
-  g_max_queue_depth.store(0, std::memory_order_relaxed);
-  TimingRegistry& registry = timings();
-  const core::MutexLock lock(registry.mutex);
-  registry.map.clear();
+  MetricsRegistry::global().reset();
 }
 
 }  // namespace counters
 
-void LatencyHistogram::record_ns(std::uint64_t ns) noexcept {
-  const std::size_t bucket =
-      ns == 0 ? 0 : static_cast<std::size_t>(std::bit_width(ns) - 1);
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  total_ns_.fetch_add(ns, std::memory_order_relaxed);
-  atomic_store_max(max_ns_, ns);
-}
-
-std::uint64_t LatencyHistogram::count() const noexcept {
-  return count_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t LatencyHistogram::total_ns() const noexcept {
-  return total_ns_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t LatencyHistogram::max_ns() const noexcept {
-  return max_ns_.load(std::memory_order_relaxed);
-}
-
-double LatencyHistogram::mean_ns() const noexcept {
-  const std::uint64_t n = count();
-  return n == 0 ? 0.0
-                : static_cast<double>(total_ns()) / static_cast<double>(n);
-}
-
-std::uint64_t LatencyHistogram::quantile_upper_bound_ns(
-    double q) const noexcept {
-  const std::uint64_t n = count();
-  if (n == 0) return 0;
-  q = std::clamp(q, 0.0, 1.0);
-  const auto rank = static_cast<std::uint64_t>(q * static_cast<double>(n - 1));
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    seen += buckets_[i].load(std::memory_order_relaxed);
-    if (seen > rank) {
-      return i + 1 >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << (i + 1));
-    }
-  }
-  return max_ns();
-}
-
-std::array<std::uint64_t, LatencyHistogram::kBuckets>
-LatencyHistogram::buckets() const noexcept {
-  std::array<std::uint64_t, kBuckets> out{};
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    out[i] = buckets_[i].load(std::memory_order_relaxed);
-  }
-  return out;
-}
-
-void LatencyHistogram::reset() noexcept {
-  for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  total_ns_.store(0, std::memory_order_relaxed);
-  max_ns_.store(0, std::memory_order_relaxed);
-}
-
-JsonValue LatencyHistogram::to_json() const {
-  JsonValue::Object object;
-  object.reserve(6);
-  object.emplace_back("count", JsonValue(count()));
-  object.emplace_back("total_ns", JsonValue(total_ns()));
-  object.emplace_back("mean_ns", JsonValue(mean_ns()));
-  object.emplace_back("p50_ns", JsonValue(quantile_upper_bound_ns(0.50)));
-  object.emplace_back("p99_ns", JsonValue(quantile_upper_bound_ns(0.99)));
-  object.emplace_back("max_ns", JsonValue(max_ns()));
-  return JsonValue(std::move(object));
-}
-
-LatencyHistogram& pool_wait_histogram() noexcept {
-  static LatencyHistogram histogram;
+MetricHistogram& pool_wait_histogram() {
+  static MetricHistogram& histogram = metrics::histogram(
+      "hcsched_pool_wait_ns", "Queue wait of one pool job (submit to start)");
   return histogram;
 }
 
-LatencyHistogram& pool_run_histogram() noexcept {
-  static LatencyHistogram histogram;
+MetricHistogram& pool_run_histogram() {
+  static MetricHistogram& histogram = metrics::histogram(
+      "hcsched_pool_run_ns", "Run latency of one pool job (start to finish)");
   return histogram;
-}
-
-void record_queue_depth(std::size_t depth) noexcept {
-  atomic_store_max(g_max_queue_depth, depth);
-}
-
-std::size_t max_queue_depth() noexcept {
-  return static_cast<std::size_t>(
-      g_max_queue_depth.load(std::memory_order_relaxed));
-}
-
-void record_heuristic_call(std::string_view name, std::uint64_t ns) {
-  TimingRegistry& registry = timings();
-  const core::MutexLock lock(registry.mutex);
-  const auto it = registry.map.find(name);
-  if (it == registry.map.end()) {
-    registry.map.emplace(std::string(name), HeuristicTiming{1, ns});
-  } else {
-    ++it->second.calls;
-    it->second.total_ns += ns;
-  }
-}
-
-std::vector<std::pair<std::string, HeuristicTiming>> heuristic_timings() {
-  TimingRegistry& registry = timings();
-  const core::MutexLock lock(registry.mutex);
-  return {registry.map.begin(), registry.map.end()};
 }
 
 }  // namespace hcsched::obs

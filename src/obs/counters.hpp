@@ -1,18 +1,18 @@
-// Counters, timers, and latency histograms (observability pillar 2 of 3).
+// Operation counters (observability pillar 3 of 3 with obs/metrics.hpp:
+// counting and timing).
 //
 // Wall-clock alone is a dishonest currency for comparing heuristics (fast
 // local-search literature counts *evaluations*); this module gives the hot
 // paths cheap operation counters:
 //
-//   * Counter        — a fixed catalog of u64 counters. add() writes a
-//                      plain thread-local buffer (no atomics on the hot
-//                      path); buffers are merged into the global table when
-//                      a CounterScope exits, when the owning thread exits,
-//                      or when the calling thread snapshots.
-//   * LatencyHistogram — lock-free log2-bucketed nanosecond histograms for
-//                      thread-pool queue wait / task run latency.
-//   * per-heuristic timing registry — invocation count + total ns per
-//                      heuristic name, fed by the Heuristic NVI wrapper.
+//   * Counter — a fixed catalog of u64 counters, the only counter in obs/.
+//               add() writes a plain thread-local buffer (no atomics on the
+//               hot path); buffers are merged into the global table when a
+//               CounterScope exits, when the owning thread exits, or when
+//               the calling thread snapshots.
+//
+// Time is measured by the metrics registry's histograms (obs/metrics.hpp);
+// the thread pool's two are named here. counters::reset() zeroes both.
 //
 // Instrument with HCSCHED_COUNT(...), which compiles away entirely under
 // -DHCSCHED_TRACE=0 (the same kill switch as tracing). The query API is
@@ -20,14 +20,11 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"  // HCSCHED_TRACE
 
 namespace hcsched::obs {
@@ -53,6 +50,8 @@ enum class Counter : std::size_t {
   kCheckpointTrialsWritten,   ///< trial outcomes appended to a checkpoint
   kCheckpointTrialsReplayed,  ///< trials resumed from a checkpoint
   kCheckpointCorruptLines,    ///< checkpoint lines skipped as unreadable
+  kLocalSearchSteps,          ///< local-search neighborhood steps applied
+  kLocalSearchRestarts,       ///< local-search random-disruption restarts
   kCount
 };
 
@@ -87,8 +86,8 @@ struct Snapshot {
 /// by *other* live threads that have not flushed yet are not included.
 Snapshot snapshot();
 
-/// Zeros the global table, the calling thread's buffer, the histograms and
-/// the per-heuristic timing registry.
+/// Zeros the global table, the calling thread's buffer and every instrument
+/// of the global metrics registry (registrations are kept).
 void reset();
 
 /// RAII: flushes this thread's counter buffer on scope exit. Place one at
@@ -104,59 +103,12 @@ class CounterScope {
 
 }  // namespace counters
 
-/// Lock-free histogram over nanosecond durations with log2 buckets:
-/// bucket i counts samples in [2^i, 2^(i+1)) ns (bucket 0 includes 0).
-class LatencyHistogram {
- public:
-  static constexpr std::size_t kBuckets = 64;
-
-  void record_ns(std::uint64_t ns) noexcept;
-
-  std::uint64_t count() const noexcept;
-  std::uint64_t total_ns() const noexcept;
-  std::uint64_t max_ns() const noexcept;
-  double mean_ns() const noexcept;
-  /// Upper bound (ns) of the bucket containing quantile q in [0, 1]
-  /// (0 when empty). Coarse by design: log2 resolution.
-  std::uint64_t quantile_upper_bound_ns(double q) const noexcept;
-  std::array<std::uint64_t, kBuckets> buckets() const noexcept;
-  void reset() noexcept;
-
-  /// {"count":..., "total_ns":..., "mean_ns":..., "p50_ns":..., "p99_ns":...,
-  ///  "max_ns":...}
-  JsonValue to_json() const;
-
- private:
-  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> total_ns_{0};
-  std::atomic<std::uint64_t> max_ns_{0};
-};
-
-/// Queue wait (submit -> dequeue) latency of thread-pool tasks.
-LatencyHistogram& pool_wait_histogram() noexcept;
-/// Run (dequeue -> done) latency of thread-pool tasks.
-LatencyHistogram& pool_run_histogram() noexcept;
-
-/// Thread-pool queue-depth gauge (samples taken at submit time).
-void record_queue_depth(std::size_t depth) noexcept;
-std::size_t max_queue_depth() noexcept;
-
-/// Per-heuristic timing registry, fed by the Heuristic NVI wrapper.
-struct HeuristicTiming {
-  std::uint64_t calls = 0;
-  std::uint64_t total_ns = 0;
-
-  double mean_ns() const noexcept {
-    return calls == 0 ? 0.0
-                      : static_cast<double>(total_ns) /
-                            static_cast<double>(calls);
-  }
-};
-
-void record_heuristic_call(std::string_view name, std::uint64_t ns);
-/// (name, timing) pairs sorted by name.
-std::vector<std::pair<std::string, HeuristicTiming>> heuristic_timings();
+/// Queue wait (submit -> start) of thread-pool jobs: the registry's
+/// `hcsched_pool_wait_ns` histogram.
+MetricHistogram& pool_wait_histogram();
+/// Run latency (start -> finish) of thread-pool jobs: the registry's
+/// `hcsched_pool_run_ns` histogram.
+MetricHistogram& pool_run_histogram();
 
 }  // namespace hcsched::obs
 

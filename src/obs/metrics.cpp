@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "obs/counters.hpp"
+
 namespace hcsched::obs {
 namespace {
 
@@ -22,8 +24,6 @@ bool valid_metric_name(std::string_view name) {
 
 std::string_view to_string(MetricKind kind) noexcept {
   switch (kind) {
-    case MetricKind::kCounter:
-      return "counter";
     case MetricKind::kGauge:
       return "gauge";
     case MetricKind::kHistogram:
@@ -47,11 +47,8 @@ MetricsRegistry::Entry& MetricsRegistry::find_or_create(std::string_view name,
     throw std::invalid_argument("invalid metric name '" + std::string(name) +
                                 "'");
   }
-  Entry entry{kind, std::string(help), nullptr, nullptr, nullptr};
+  Entry entry{kind, std::string(help), nullptr, nullptr};
   switch (kind) {
-    case MetricKind::kCounter:
-      entry.counter = std::make_unique<MetricCounter>();
-      break;
     case MetricKind::kGauge:
       entry.gauge = std::make_unique<MetricGauge>();
       break;
@@ -60,12 +57,6 @@ MetricsRegistry::Entry& MetricsRegistry::find_or_create(std::string_view name,
       break;
   }
   return entries_.emplace(std::string(name), std::move(entry)).first->second;
-}
-
-MetricCounter& MetricsRegistry::counter(std::string_view name,
-                                        std::string_view help) {
-  core::MutexLock lock(mutex_);
-  return *find_or_create(name, help, MetricKind::kCounter).counter;
 }
 
 MetricGauge& MetricsRegistry::gauge(std::string_view name,
@@ -97,9 +88,6 @@ JsonValue MetricsRegistry::snapshot_json() const {
       m.emplace_back("help", JsonValue(entry.help));
     }
     switch (entry.kind) {
-      case MetricKind::kCounter:
-        m.emplace_back("value", JsonValue(entry.counter->value()));
-        break;
       case MetricKind::kGauge:
         m.emplace_back("value", JsonValue(entry.gauge->value()));
         break;
@@ -149,12 +137,6 @@ std::string MetricsRegistry::prometheus_text() const {
     out += to_string(entry.kind);
     out += '\n';
     switch (entry.kind) {
-      case MetricKind::kCounter:
-        out += name;
-        out += ' ';
-        out += std::to_string(entry.counter->value());
-        out += '\n';
-        break;
       case MetricKind::kGauge:
         out += name;
         out += ' ';
@@ -197,9 +179,6 @@ void MetricsRegistry::reset() {
   for (auto& [name, entry] : entries_) {
     (void)name;
     switch (entry.kind) {
-      case MetricKind::kCounter:
-        entry.counter->reset();
-        break;
       case MetricKind::kGauge:
         entry.gauge->reset();
         break;
@@ -220,10 +199,6 @@ MetricsRegistry& MetricsRegistry::global() {
 
 namespace metrics {
 
-MetricCounter& counter(std::string_view name, std::string_view help) {
-  return MetricsRegistry::global().counter(name, help);
-}
-
 MetricGauge& gauge(std::string_view name, std::string_view help) {
   return MetricsRegistry::global().gauge(name, help);
 }
@@ -235,10 +210,23 @@ MetricHistogram& histogram(std::string_view name, std::string_view help) {
 JsonValue snapshot_json() { return MetricsRegistry::global().snapshot_json(); }
 
 std::string prometheus_text() {
-  return MetricsRegistry::global().prometheus_text();
+  std::string out = MetricsRegistry::global().prometheus_text();
+  // The catalog as one labelled family, so scrape configs need no
+  // per-counter name list.
+  out +=
+      "# HELP hcsched_ops_total Monotonic operation counters (see "
+      "docs/OBSERVABILITY.md)\n"
+      "# TYPE hcsched_ops_total counter\n";
+  const counters::Snapshot snapshot = counters::snapshot();
+  for (std::size_t i = 0; i < kNumCounters; ++i) {
+    out += "hcsched_ops_total{op=\"";
+    out += to_string(static_cast<Counter>(i));
+    out += "\"} ";
+    out += std::to_string(snapshot.values[i]);
+    out += '\n';
+  }
+  return out;
 }
-
-void reset() { MetricsRegistry::global().reset(); }
 
 }  // namespace metrics
 

@@ -1,17 +1,19 @@
-// Typed metrics registry (observability pillar 3 of 3 — aggregation).
+// Metrics registry (observability pillar 3 of 3 with obs/counters.hpp:
+// counting and timing).
 //
 // Where trace events answer "what happened" and spans answer "where did the
-// time go", metrics answer "how much, in total": named counters, gauges,
-// and fixed-bucket log-scaled histograms that accumulate for the lifetime
-// of the process and snapshot to JSON or Prometheus text exposition. The
-// ROADMAP's daemon arc serves exactly this surface from `/stats`; today the
-// `hcsched stats` subcommand renders it after a run.
+// time go", metrics answer "how much, in total": gauges and fixed-bucket
+// log-scaled histograms that accumulate for the lifetime of the process and
+// snapshot to JSON or Prometheus text exposition. The `hcsched stats`
+// subcommand renders it after a run. Counting belongs to the Counter catalog
+// (obs/counters.hpp), which metrics::prometheus_text() exposes as the
+// labelled `hcsched_ops_total` family; the registry has no counter kind.
 //
 // Shape:
-//   * MetricCounter   — monotonically increasing uint64 (relaxed atomic).
 //   * MetricGauge     — int64 point-in-time value, set/add (relaxed atomic).
 //   * MetricHistogram — 32 fixed log4-scaled buckets (upper bound of bucket
-//     i is 4^(i+1), last bucket +Inf) plus count and sum. Lock-free.
+//     i is 4^(i+1), last bucket +Inf) plus count, sum and max. Lock-free;
+//     the only histogram type in obs/.
 //   * MetricsRegistry — name → instrument table. Registration is
 //     mutex-guarded (GUARDED_BY-annotated per the lock-annotation lint
 //     rule); instruments live behind stable heap pointers so call sites can
@@ -25,9 +27,9 @@
 // mirroring counters.hpp.
 //
 // Metric names follow Prometheus conventions ([a-zA-Z_:][a-zA-Z0-9_:]*,
-// `hcsched_` prefix, `_total` suffix on counters, unit suffix like `_ns` on
-// histograms) and every name registered from src/ must be documented in
-// docs/OBSERVABILITY.md — the `metric-docs` lint rule enforces this.
+// `hcsched_` prefix, unit suffix like `_ns` on histograms) and every name
+// registered from src/ must be documented in docs/OBSERVABILITY.md — the
+// `metric-docs` lint rule enforces this.
 #pragma once
 
 #include <array>
@@ -44,22 +46,6 @@
 #include "obs/trace.hpp"  // HCSCHED_TRACE default
 
 namespace hcsched::obs {
-
-class MetricCounter {
- public:
-  void add(std::uint64_t n = 1) noexcept {
-    // Memory-order audit: pure accumulator, read only by snapshots that
-    // tolerate slight staleness — relaxed.
-    value_.fetch_add(n, std::memory_order_relaxed);
-  }
-  std::uint64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::uint64_t> value_{0};
-};
 
 class MetricGauge {
  public:
@@ -82,7 +68,8 @@ class MetricGauge {
 /// Fixed log-scaled histogram: bucket i counts observed values v with
 /// 4^i < v <= 4^(i+1) (bucket 0 additionally takes v in [0, 4]; the last
 /// bucket is unbounded). 32 buckets cover [0, 4^31 ≈ 4.6e18], enough for
-/// nanosecond latencies from single digits to ~146 years.
+/// nanosecond latencies from single digits to ~146 years. The largest
+/// observed value is kept exactly (max_ns()).
 class MetricHistogram {
  public:
   static constexpr std::size_t kBuckets = 32;
@@ -108,6 +95,10 @@ class MetricHistogram {
     buckets_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(v, std::memory_order_relaxed);
+    std::uint64_t max = max_.load(std::memory_order_relaxed);
+    while (v > max &&
+           !max_.compare_exchange_weak(max, v, std::memory_order_relaxed)) {
+    }
   }
 
   std::uint64_t count() const noexcept {
@@ -115,6 +106,9 @@ class MetricHistogram {
   }
   std::uint64_t sum() const noexcept {
     return sum_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t max_ns() const noexcept {
+    return max_.load(std::memory_order_relaxed);
   }
   std::uint64_t bucket_count(std::size_t i) const noexcept {
     return buckets_[i].load(std::memory_order_relaxed);
@@ -124,6 +118,7 @@ class MetricHistogram {
     for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
     count_.store(0, std::memory_order_relaxed);
     sum_.store(0, std::memory_order_relaxed);
+    max_.store(0, std::memory_order_relaxed);
   }
 
  private:
@@ -142,11 +137,12 @@ class MetricHistogram {
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_{0};
+  std::atomic<std::uint64_t> max_{0};
 };
 
-enum class MetricKind { kCounter, kGauge, kHistogram };
+enum class MetricKind { kGauge, kHistogram };
 
-/// Returns "counter" / "gauge" / "histogram".
+/// Returns "gauge" / "histogram".
 std::string_view to_string(MetricKind kind) noexcept;
 
 /// Name → instrument table. Thread-safe; instrument references returned by
@@ -161,8 +157,6 @@ class MetricsRegistry {
   /// Registers (or finds) the named instrument. The first registration's
   /// help string wins. Throws std::invalid_argument when `name` is not a
   /// valid Prometheus metric name or is already registered as another kind.
-  MetricCounter& counter(std::string_view name, std::string_view help = {})
-      HCSCHED_EXCLUDES(mutex_);
   MetricGauge& gauge(std::string_view name, std::string_view help = {})
       HCSCHED_EXCLUDES(mutex_);
   MetricHistogram& histogram(std::string_view name, std::string_view help = {})
@@ -184,7 +178,8 @@ class MetricsRegistry {
   /// references) valid.
   void reset() HCSCHED_EXCLUDES(mutex_);
 
-  /// The process-global registry the HCSCHED_METRIC_* macros feed.
+  /// The process-global registry the HCSCHED_METRIC_* macros feed;
+  /// counters::reset() zeroes it.
   static MetricsRegistry& global();
 
  private:
@@ -194,7 +189,6 @@ class MetricsRegistry {
     // Exactly one is non-null, matching `kind`; unique_ptr keeps the
     // instrument address stable across map rehash-free but node-moving
     // operations and lets call sites cache references lock-free.
-    std::unique_ptr<MetricCounter> counter;
     std::unique_ptr<MetricGauge> gauge;
     std::unique_ptr<MetricHistogram> histogram;
   };
@@ -210,26 +204,19 @@ class MetricsRegistry {
 /// Convenience free functions over MetricsRegistry::global().
 namespace metrics {
 
-MetricCounter& counter(std::string_view name, std::string_view help = {});
 MetricGauge& gauge(std::string_view name, std::string_view help = {});
 MetricHistogram& histogram(std::string_view name, std::string_view help = {});
 
 JsonValue snapshot_json();
+/// The global registry's exposition followed by the Counter catalog as one
+/// labelled family, `hcsched_ops_total{op="<counter name>"}`.
 std::string prometheus_text();
-void reset();
 
 }  // namespace metrics
 
 }  // namespace hcsched::obs
 
 #if HCSCHED_TRACE
-/// Adds `n` to the named global counter (registered on first execution).
-#define HCSCHED_METRIC_COUNT(name, help, n)                            \
-  do {                                                                 \
-    static ::hcsched::obs::MetricCounter& hcsched_metric_counter_ =    \
-        ::hcsched::obs::metrics::counter((name), (help));              \
-    hcsched_metric_counter_.add((n));                                  \
-  } while (0)
 /// Sets the named global gauge to `v`.
 #define HCSCHED_METRIC_GAUGE_SET(name, help, v)                        \
   do {                                                                 \
@@ -245,9 +232,6 @@ void reset();
     hcsched_metric_histogram_.observe(static_cast<std::uint64_t>(v));  \
   } while (0)
 #else
-#define HCSCHED_METRIC_COUNT(name, help, n) \
-  do {                                      \
-  } while (0)
 #define HCSCHED_METRIC_GAUGE_SET(name, help, v) \
   do {                                          \
   } while (0)

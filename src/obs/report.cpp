@@ -1,5 +1,6 @@
 #include "obs/report.hpp"
 
+#include "obs/metrics.hpp"
 #include "report/table.hpp"
 #include "sched/metrics.hpp"
 
@@ -21,6 +22,12 @@ JsonValue machine_times_json(
     object.emplace_back(machine_label(machine), JsonValue(t));
   }
   return JsonValue(std::move(object));
+}
+
+double map_mean_ns(const RunReport& report) {
+  return report.map_calls == 0 ? 0.0
+                               : static_cast<double>(report.map_total_ns) /
+                                     static_cast<double>(report.map_calls);
 }
 
 }  // namespace
@@ -59,7 +66,10 @@ RunReport build_run_report(std::string_view heuristic,
   }
 
   report.counters = counters::snapshot();
-  report.heuristic_timings = heuristic_timings();
+  const MetricHistogram& map = metrics::histogram("hcsched_heuristic_map_ns");
+  report.map_calls = map.count();
+  report.map_total_ns = map.sum();
+  report.map_max_ns = map.max_ns();
   return report;
 }
 
@@ -84,17 +94,6 @@ JsonValue to_json(const RunReport& report) {
     iterations.emplace_back(std::move(object));
   }
 
-  JsonValue::Object timings;
-  timings.reserve(report.heuristic_timings.size());
-  for (const auto& [name, timing] : report.heuristic_timings) {
-    timings.emplace_back(name,
-                         JsonValue(JsonValue::Object{
-                             {"calls", JsonValue(timing.calls)},
-                             {"total_ns", JsonValue(timing.total_ns)},
-                             {"mean_ns", JsonValue(timing.mean_ns())},
-                         }));
-  }
-
   return JsonValue(JsonValue::Object{
       {"heuristic", JsonValue(report.heuristic)},
       {"tasks", JsonValue(report.num_tasks)},
@@ -106,10 +105,12 @@ JsonValue to_json(const RunReport& report) {
       {"final_finishing_times",
        machine_times_json(report.final_finishing_times)},
       {"counters", report.counters.to_json()},
-      {"heuristic_timings", JsonValue(std::move(timings))},
-      {"pool_wait", pool_wait_histogram().to_json()},
-      {"pool_run", pool_run_histogram().to_json()},
-      {"pool_max_queue_depth", JsonValue(max_queue_depth())},
+      {"map", JsonValue(JsonValue::Object{
+                  {"calls", JsonValue(report.map_calls)},
+                  {"total_ns", JsonValue(report.map_total_ns)},
+                  {"mean_ns", JsonValue(map_mean_ns(report))},
+                  {"max_ns", JsonValue(report.map_max_ns)},
+              })},
   });
 }
 
@@ -150,15 +151,14 @@ std::string to_text(const RunReport& report) {
   }
   out += counters.to_string();
 
-  if (!report.heuristic_timings.empty()) {
-    TextTable timings({"heuristic", "calls", "total ms", "mean us"});
-    for (const auto& [name, timing] : report.heuristic_timings) {
-      timings.add_row(
-          {name, std::to_string(timing.calls),
-           TextTable::num(static_cast<double>(timing.total_ns) / 1e6, 3),
-           TextTable::num(timing.mean_ns() / 1e3, 3)});
-    }
-    out += timings.to_string();
+  if (report.map_calls != 0) {
+    TextTable map({"map calls", "total ms", "mean us", "max us"});
+    map.add_row(
+        {std::to_string(report.map_calls),
+         TextTable::num(static_cast<double>(report.map_total_ns) / 1e6, 3),
+         TextTable::num(map_mean_ns(report) / 1e3, 3),
+         TextTable::num(static_cast<double>(report.map_max_ns) / 1e3, 3)});
+    out += map.to_string();
   }
   return out;
 }

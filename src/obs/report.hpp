@@ -1,12 +1,12 @@
-// Run-report builder (observability pillar 3 of 3).
+// Run-report builder over the observability pillars.
 //
 // Snapshots everything one run of the iterative technique produced into a
 // single JSON-ready document: per-iteration scheduler state (machine
 // removed, frozen completion time, completion-time vector, balance index —
 // the paper's per-iteration trajectory), the final finishing times, the
-// operation-counter snapshot, per-heuristic timings, and the thread-pool
-// latency histograms. The CLI `report` subcommand pretty-prints it; the
-// production_pipeline example and the sim layer attach it per trial.
+// operation-counter snapshot and the heuristic-map latency totals. The CLI
+// `report` subcommand pretty-prints it; the production_pipeline example and
+// the sim layer attach it per trial.
 #pragma once
 
 #include <string>
@@ -50,11 +50,15 @@ struct RunReport {
   /// Counter values at build time (whole-process; use
   /// counters::Snapshot::delta_since to scope to one run).
   counters::Snapshot counters{};
-  std::vector<std::pair<std::string, HeuristicTiming>> heuristic_timings{};
+  /// `hcsched_heuristic_map_ns` at build time, whole-process like
+  /// `counters`. Per-heuristic time is in the `map:<H>` span profile.
+  std::uint64_t map_calls = 0;
+  std::uint64_t map_total_ns = 0;
+  std::uint64_t map_max_ns = 0;
 };
 
 /// Builds the report from a finished IterativeResult, snapshotting the
-/// global counters and timing registry.
+/// global counters and the heuristic-map latency histogram.
 RunReport build_run_report(std::string_view heuristic,
                            const core::IterativeResult& result);
 

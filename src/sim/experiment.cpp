@@ -11,7 +11,6 @@
 #include "core/iterative.hpp"
 #include "heuristics/registry.hpp"
 #include "obs/counters.hpp"
-#include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "rng/splitmix64.hpp"
@@ -78,8 +77,6 @@ TrialOutcome run_one_trial(
         trial, params.seed, std::string{},
         std::string(fault::to_string(fault.site())), fault.what()});
     HCSCHED_COUNT(obs::Counter::kTrialsQuarantined);
-    HCSCHED_METRIC_COUNT("hcsched_trials_quarantined_total",
-                         "Trials with at least one quarantined execution", 1);
     HCSCHED_SPAN_ATTR(trial_span, "quarantined", obs::JsonValue(true));
     return outcome;
   }
@@ -183,8 +180,6 @@ TrialOutcome run_one_trial(
   }
   if (trial_quarantined) {
     HCSCHED_COUNT(obs::Counter::kTrialsQuarantined);
-    HCSCHED_METRIC_COUNT("hcsched_trials_quarantined_total",
-                         "Trials with at least one quarantined execution", 1);
     HCSCHED_SPAN_ATTR(trial_span, "quarantined", obs::JsonValue(true));
   }
   return outcome;
@@ -335,8 +330,6 @@ StudyReport run_iterative_study_report(const StudyParams& params,
       report.trials_completed < report.trials_requested) {
     report.cancelled = true;
     HCSCHED_COUNT(obs::Counter::kStudiesCancelled);
-    HCSCHED_METRIC_COUNT("hcsched_studies_cancelled_total",
-                         "Studies that hit their cancellation budget", 1);
     HCSCHED_TRACE_EVENT(
         "study.cancelled",
         {{"trials_completed", obs::JsonValue(report.trials_completed)},

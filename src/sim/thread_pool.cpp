@@ -76,10 +76,7 @@ std::future<void> ThreadPool::submit(std::function<void()> job) {
   const auto enqueued = std::chrono::steady_clock::now();
   std::packaged_task<void()> task([job = std::move(job), enqueued] {
     const std::uint64_t wait_ns = elapsed_ns(enqueued);
-    obs::pool_wait_histogram().record_ns(wait_ns);
-    HCSCHED_METRIC_OBSERVE("hcsched_pool_wait_ns",
-                           "Queue wait of one pool job (submit to start)",
-                           wait_ns);
+    obs::pool_wait_histogram().observe(wait_ns);
     const auto started = std::chrono::steady_clock::now();
     {
       HCSCHED_SPAN(job_span, "pool.job");
@@ -87,10 +84,7 @@ std::future<void> ThreadPool::submit(std::function<void()> job) {
       job();
     }
     const std::uint64_t run_ns = elapsed_ns(started);
-    obs::pool_run_histogram().record_ns(run_ns);
-    HCSCHED_METRIC_OBSERVE("hcsched_pool_run_ns",
-                           "Run latency of one pool job (start to finish)",
-                           run_ns);
+    obs::pool_run_histogram().observe(run_ns);
     obs::counters::add(obs::Counter::kPoolTasksCompleted);
   });
 #else
@@ -108,7 +102,6 @@ std::future<void> ThreadPool::submit(std::function<void()> job) {
 void ThreadPool::enqueue_locked(std::packaged_task<void()> task) {
   queue_.push_back(std::move(task));
 #if HCSCHED_TRACE
-  obs::record_queue_depth(queue_.size());
   HCSCHED_METRIC_GAUGE_SET("hcsched_pool_queue_depth",
                            "Jobs waiting in the pool queue", queue_.size());
 #endif

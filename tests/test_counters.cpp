@@ -1,6 +1,8 @@
-// Operation counters and latency histograms: thread-local buffers must be
-// additive across pool threads, the NVI wrapper must count heuristic
-// invocations, and the log2 histograms must bound their quantiles.
+// Operation counters: thread-local buffers must be additive across pool
+// threads, the NVI wrapper must count and time heuristic invocations, the
+// pool's histograms are the registry's instruments, zeroed by the one
+// reset, and the catalog is the exposition's one `_total` family. Also the
+// count, sum and max a MetricHistogram keeps for every timing.
 //
 // Counter tests reset global state, so they would race any concurrently
 // counting test; gtest runs tests in one thread, and the pools joined here
@@ -8,11 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <string>
 #include <vector>
 
 #include "core/paper_examples.hpp"
 #include "heuristics/registry.hpp"
 #include "obs/counters.hpp"
+#include "obs/metrics.hpp"
 #include "rng/tie_break.hpp"
 #include "sim/thread_pool.hpp"
 
@@ -21,6 +25,10 @@ namespace {
 using namespace hcsched;
 
 TEST(Counters, AdditiveAcrossPoolThreads) {
+  EXPECT_EQ(&obs::pool_wait_histogram(),
+            &obs::metrics::histogram("hcsched_pool_wait_ns"));
+  EXPECT_EQ(&obs::pool_run_histogram(),
+            &obs::metrics::histogram("hcsched_pool_run_ns"));
   obs::counters::reset();
   constexpr std::uint64_t kJobs = 64;
   constexpr std::uint64_t kPerJob = 3;
@@ -40,8 +48,15 @@ TEST(Counters, AdditiveAcrossPoolThreads) {
   if (obs::kTraceCompiledIn) {
     EXPECT_EQ(snap[obs::Counter::kPoolTasksSubmitted], kJobs);
     EXPECT_EQ(snap[obs::Counter::kPoolTasksCompleted], kJobs);
-    EXPECT_GE(obs::pool_wait_histogram().count(), kJobs);
-    EXPECT_GE(obs::pool_run_histogram().count(), kJobs);
+    EXPECT_EQ(obs::pool_wait_histogram().count(), kJobs);
+    EXPECT_EQ(obs::pool_run_histogram().count(), kJobs);
+  }
+  // The one reset zeroes the pool's histograms along with the counters.
+  obs::counters::reset();
+  for (obs::MetricHistogram* h :
+       {&obs::pool_wait_histogram(), &obs::pool_run_histogram()}) {
+    EXPECT_EQ(h->count(), 0u);
+    EXPECT_EQ(h->max_ns(), 0u);
   }
 }
 
@@ -62,15 +77,11 @@ TEST(Counters, HeuristicInvocationsCountedThroughNvi) {
   EXPECT_GT(snap[obs::Counter::kEtcCellEvaluations], 0u);
   EXPECT_GT(snap[obs::Counter::kTieDecisions], 0u);
 
-  bool found = false;
-  for (const auto& [name, timing] : obs::heuristic_timings()) {
-    if (name == "Min-Min") {
-      found = true;
-      EXPECT_EQ(timing.calls, 2u);
-      EXPECT_GT(timing.mean_ns(), 0.0);
-    }
-  }
-  EXPECT_TRUE(found);
+  const obs::MetricHistogram& map =
+      obs::metrics::histogram("hcsched_heuristic_map_ns");
+  EXPECT_EQ(map.count(), 2u);
+  EXPECT_GT(map.sum(), 0u);
+  EXPECT_GE(map.sum(), map.max_ns());
 }
 
 TEST(Counters, IterativeRunCountsIterations) {
@@ -104,37 +115,50 @@ TEST(Counters, SnapshotSerializesEveryCounter) {
   ASSERT_TRUE(json.is_object());
   EXPECT_EQ(json.as_object().size(), obs::kNumCounters);
   EXPECT_DOUBLE_EQ(json.at("search_nodes_expanded").as_number(), 7.0);
+
+  // The global exposition renders the catalog as the one `_total` family;
+  // the registry itself has no counter kind to add another.
+  const std::string text = obs::metrics::prometheus_text();
+  for (std::size_t i = 0; i < obs::kNumCounters; ++i) {
+    const std::string sample =
+        "hcsched_ops_total{op=\"" +
+        std::string(obs::to_string(static_cast<obs::Counter>(i))) + "\"} ";
+    const std::size_t at = text.find(sample);
+    ASSERT_NE(at, std::string::npos) << sample;
+    EXPECT_EQ(text.find(sample, at + 1), std::string::npos) << sample;
+  }
+  std::size_t begin = 0;
+  while (begin < text.size()) {
+    const std::size_t end = text.find('\n', begin);
+    ASSERT_NE(end, std::string::npos);
+    const std::string line = text.substr(begin, end - begin);
+    begin = end + 1;
+    if (line.find("_total") == std::string::npos) continue;
+    EXPECT_TRUE(line.rfind("hcsched_ops_total{op=\"", 0) == 0 ||
+                line.rfind("# HELP hcsched_ops_total ", 0) == 0 ||
+                line == "# TYPE hcsched_ops_total counter")
+        << line;
+  }
 }
 
-TEST(LatencyHistogram, BucketsBoundQuantilesAndMax) {
-  obs::LatencyHistogram hist;
-  hist.record_ns(0);
-  hist.record_ns(10);
-  hist.record_ns(1000);
-  hist.record_ns(1'000'000);
+TEST(MetricHistogramAggregates, TrackCountSumAndMaxUntilReset) {
+  obs::MetricHistogram hist;
+  hist.observe(0);
+  hist.observe(10);
+  hist.observe(1000);
+  hist.observe(1'000'000);
 
   EXPECT_EQ(hist.count(), 4u);
-  EXPECT_EQ(hist.total_ns(), 1'001'010u);
+  EXPECT_EQ(hist.sum(), 1'001'010u);
   EXPECT_EQ(hist.max_ns(), 1'000'000u);
-  EXPECT_DOUBLE_EQ(hist.mean_ns(), 1'001'010.0 / 4.0);
-  // The p100 bucket upper bound must cover the max sample; p0 covers the min.
-  EXPECT_GE(hist.quantile_upper_bound_ns(1.0), 1'000'000u);
-  EXPECT_LE(hist.quantile_upper_bound_ns(0.0), 16u);
+  // A smaller observation after the max leaves it in place.
+  hist.observe(5);
+  EXPECT_EQ(hist.max_ns(), 1'000'000u);
 
   hist.reset();
   EXPECT_EQ(hist.count(), 0u);
-  EXPECT_EQ(hist.quantile_upper_bound_ns(0.5), 0u);
-}
-
-TEST(LatencyHistogram, JsonSnapshotHasStableKeys) {
-  obs::LatencyHistogram hist;
-  hist.record_ns(128);
-  const auto json = hist.to_json();
-  for (const char* key :
-       {"count", "total_ns", "mean_ns", "p50_ns", "p99_ns", "max_ns"}) {
-    EXPECT_NE(json.find(key), nullptr) << key;
-  }
-  EXPECT_DOUBLE_EQ(json.at("count").as_number(), 1.0);
+  EXPECT_EQ(hist.sum(), 0u);
+  EXPECT_EQ(hist.max_ns(), 0u);
 }
 
 }  // namespace

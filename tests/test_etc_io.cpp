@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "etc/cvb_generator.hpp"
 #include "rng/rng.hpp"
@@ -60,6 +62,47 @@ TEST(EtcIo, ShortRowThrows) {
 TEST(EtcIo, EmptyMatrixRoundTrips) {
   EtcMatrix m(0, 0);
   EXPECT_EQ(from_csv(to_csv(m)), m);
+}
+
+TEST(EtcIo, UntrustedInputFailsClosed) {
+  struct Case {
+    const char* csv;
+    const char* error;  // expected substring of the message; null = accept
+  };
+  const Case cases[] = {
+      {"2,2\nnan,1\n2,3\n", "row 0, column 0"},
+      {"1,2\ninf,1\n", "not a finite non-negative time"},
+      {"1,2\n1,-0.5\n", "row 0, column 1"},
+      {"1,2\n2abc,1\n", "trailing characters"},
+      {"1,2\n1,,\n", "row 0, column 1: not a number"},
+      {"1,2\n1,1e999\n", "out of range"},
+      {"1,2\n1,2,99\n", "more than 2 cells"},
+      {"1,2\n1,2,\n", "more than 2 cells"},
+      {"1,2\n1,2\n3,4\n", "after the 1 declared rows"},
+      {"2,2x\n", "malformed header"},
+      {"67108864,2\n", "exceeds the limit"},
+      {"-1,2\n", "exceeds the limit"},
+      {"4294967296,4294967296\n", "exceeds the limit"},
+      // Whitespace (a CRLF file, padded cells, trailing blank lines) is fine.
+      {"2,2\r\n1, 2\r\n 3 ,4\r\n\r\n", nullptr},
+      {"0,0\n\n", nullptr},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.csv);
+    if (c.error == nullptr) {
+      EXPECT_NO_THROW(from_csv(c.csv));
+      continue;
+    }
+    try {
+      from_csv(c.csv);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.error), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(from_csv("2,2\r\n1, 2\r\n 3 ,4\r\n"),
+            EtcMatrix::from_rows({{1, 2}, {3, 4}}));
 }
 
 }  // namespace

@@ -48,33 +48,34 @@ TEST(MetricHistogramBuckets, UpperBoundsArePowersOfFourThenInf) {
 
 TEST(MetricsRegistry, SameNameYieldsSameInstrument) {
   obs::MetricsRegistry registry;
-  obs::MetricCounter& a = registry.counter("hcsched_test_ops_total", "ops");
-  obs::MetricCounter& b = registry.counter("hcsched_test_ops_total");
+  obs::MetricGauge& a = registry.gauge("hcsched_test_depth", "depth");
+  obs::MetricGauge& b = registry.gauge("hcsched_test_depth");
   EXPECT_EQ(&a, &b);
   EXPECT_EQ(registry.size(), 1u);
-  a.add(2);
-  EXPECT_EQ(b.value(), 2u);
+  a.set(2);
+  EXPECT_EQ(b.value(), 2);
 }
 
 TEST(MetricsRegistry, KindMismatchThrows) {
   obs::MetricsRegistry registry;
-  registry.counter("hcsched_test_mixed");
-  EXPECT_THROW(registry.gauge("hcsched_test_mixed"), std::invalid_argument);
+  registry.gauge("hcsched_test_mixed");
   EXPECT_THROW(registry.histogram("hcsched_test_mixed"),
+               std::invalid_argument);
+  registry.histogram("hcsched_test_mixed_ns");
+  EXPECT_THROW(registry.gauge("hcsched_test_mixed_ns"),
                std::invalid_argument);
 }
 
 TEST(MetricsRegistry, InvalidNamesThrow) {
   obs::MetricsRegistry registry;
-  EXPECT_THROW(registry.counter(""), std::invalid_argument);
-  EXPECT_THROW(registry.counter("9leading_digit"), std::invalid_argument);
-  EXPECT_THROW(registry.counter("has-dash"), std::invalid_argument);
-  EXPECT_THROW(registry.counter("has space"), std::invalid_argument);
+  EXPECT_THROW(registry.gauge(""), std::invalid_argument);
+  EXPECT_THROW(registry.gauge("9leading_digit"), std::invalid_argument);
+  EXPECT_THROW(registry.gauge("has-dash"), std::invalid_argument);
+  EXPECT_THROW(registry.histogram("has space"), std::invalid_argument);
 }
 
 TEST(MetricsRegistry, SnapshotJsonRoundTripsThroughParser) {
   obs::MetricsRegistry registry;
-  registry.counter("hcsched_test_ops_total", "Test ops").add(3);
   registry.gauge("hcsched_test_depth").set(-2);
   obs::MetricHistogram& h =
       registry.histogram("hcsched_test_lat_ns", "Latency");
@@ -85,7 +86,7 @@ TEST(MetricsRegistry, SnapshotJsonRoundTripsThroughParser) {
   const obs::JsonValue parsed =
       obs::JsonValue::parse(registry.snapshot_json().dump());
   const auto& metrics = parsed.at("metrics").as_array();
-  ASSERT_EQ(metrics.size(), 3u);  // sorted by name
+  ASSERT_EQ(metrics.size(), 2u);  // sorted by name
   EXPECT_EQ(metrics[0].at("name").as_string(), "hcsched_test_depth");
   EXPECT_EQ(metrics[0].at("kind").as_string(), "gauge");
   EXPECT_DOUBLE_EQ(metrics[0].at("value").as_number(), -2.0);
@@ -103,17 +104,12 @@ TEST(MetricsRegistry, SnapshotJsonRoundTripsThroughParser) {
   EXPECT_DOUBLE_EQ(buckets[2].at("le").as_number(), 256.0);
   EXPECT_DOUBLE_EQ(buckets[2].at("count").as_number(), 1.0);
   EXPECT_EQ(buckets[3].at("le").as_string(), "+Inf");
-
-  EXPECT_EQ(metrics[2].at("name").as_string(), "hcsched_test_ops_total");
-  EXPECT_EQ(metrics[2].at("help").as_string(), "Test ops");
-  EXPECT_DOUBLE_EQ(metrics[2].at("value").as_number(), 3.0);
 }
 
 TEST(MetricsRegistry, PrometheusExpositionMatchesGolden) {
   // A LOCAL registry: the global one accumulates across the whole test
   // binary and cannot be pinned.
   obs::MetricsRegistry registry;
-  registry.counter("hcsched_test_ops_total", "Test ops").add(3);
   registry.gauge("hcsched_test_depth").set(-2);
   obs::MetricHistogram& h =
       registry.histogram("hcsched_test_lat_ns", "Latency");
@@ -144,10 +140,6 @@ TEST(MetricsRegistry, PrometheusExpositionMatchesGolden) {
             std::string::npos);
   EXPECT_NE(text.find("hcsched_test_lat_ns_sum 106\n"), std::string::npos);
   EXPECT_NE(text.find("hcsched_test_lat_ns_count 3\n"), std::string::npos);
-  EXPECT_NE(text.find("# HELP hcsched_test_ops_total Test ops\n"
-                      "# TYPE hcsched_test_ops_total counter\n"
-                      "hcsched_test_ops_total 3\n"),
-            std::string::npos);
 
   // Exposition-format sanity: every line is a comment or `name[{labels}]
   // value` with a parseable numeric value.
@@ -168,30 +160,31 @@ TEST(MetricsRegistry, PrometheusExpositionMatchesGolden) {
 
 TEST(MetricsRegistry, ResetZeroesButKeepsRegistrations) {
   obs::MetricsRegistry registry;
-  obs::MetricCounter& c = registry.counter("hcsched_test_reset_total");
-  c.add(7);
+  obs::MetricGauge& g = registry.gauge("hcsched_test_reset_depth");
+  g.set(7);
   obs::MetricHistogram& h = registry.histogram("hcsched_test_reset_ns");
   h.observe(42);
   registry.reset();
   EXPECT_EQ(registry.size(), 2u);
-  EXPECT_EQ(c.value(), 0u);  // cached reference stays valid
+  EXPECT_EQ(g.value(), 0);  // cached reference stays valid
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.sum(), 0u);
-  c.add(1);
-  EXPECT_EQ(c.value(), 1u);
+  EXPECT_EQ(h.max_ns(), 0u);
+  g.add(1);
+  EXPECT_EQ(g.value(), 1);
 }
 
 TEST(MetricsMacros, HonourCompileTimeKillSwitch) {
   // The macro registers in the GLOBAL registry on first execution — but
   // only when tracing is compiled in; under -DHCSCHED_TRACE=0 the site
   // vanishes and the name never appears.
-  HCSCHED_METRIC_COUNT("hcsched_test_macro_probe_total", "Macro probe", 1);
+  HCSCHED_METRIC_OBSERVE("hcsched_test_macro_probe_ns", "Macro probe", 1);
   bool found = false;
   const obs::JsonValue snapshot = obs::metrics::snapshot_json();
   for (const obs::JsonValue& m : snapshot.at("metrics").as_array()) {
-    if (m.at("name").as_string() == "hcsched_test_macro_probe_total") {
+    if (m.at("name").as_string() == "hcsched_test_macro_probe_ns") {
       found = true;
-      EXPECT_GE(m.at("value").as_number(), 1.0);
+      EXPECT_GE(m.at("count").as_number(), 1.0);
     }
   }
   EXPECT_EQ(found, obs::kTraceCompiledIn);

@@ -15,6 +15,7 @@
 
 #include "core/cancel.hpp"
 #include "obs/counters.hpp"
+#include "obs/metrics.hpp"
 #include "sim/thread_pool.hpp"
 
 namespace hcsched {
@@ -225,8 +226,13 @@ TEST(ThreadPoolStress, HistogramsRecordUnderContention) {
   for (auto& f : futures) f.get();
   EXPECT_EQ(obs::pool_wait_histogram().count(), kJobs);
   EXPECT_EQ(obs::pool_run_histogram().count(), kJobs);
-  EXPECT_GE(obs::pool_run_histogram().quantile_upper_bound_ns(0.99),
-            obs::pool_run_histogram().quantile_upper_bound_ns(0.50));
+  const obs::MetricHistogram& run = obs::pool_run_histogram();
+  std::uint64_t bucketed = 0;
+  for (std::size_t i = 0; i < obs::MetricHistogram::kBuckets; ++i) {
+    bucketed += run.bucket_count(i);
+  }
+  EXPECT_EQ(bucketed, kJobs);
+  EXPECT_GE(run.sum(), run.max_ns());
 }
 
 #endif  // HCSCHED_TRACE

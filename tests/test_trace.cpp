@@ -67,8 +67,19 @@ TEST(Trace, RingSinkCapturesMinMinIterativeTrajectory) {
   EXPECT_DOUBLE_EQ(
       summary.at("final_finishing_times").at("m1").as_number(), 1.0);
 
-  // The NVI wrapper emitted one heuristic.call per mapping.
-  EXPECT_EQ(ring->events_named("heuristic.call").size(), 3u);
+  // The NVI wrapper's span closed once per mapping, carrying the size of
+  // the (shrinking) problem it mapped.
+  std::size_t map_spans = 0;
+  for (const obs::TraceEvent& e : ring->events_named("span")) {
+    const obs::JsonValue span = e.to_json();
+    if (span.at("name").as_string() != "map:Min-Min") continue;
+    EXPECT_NE(span.find("tasks"), nullptr);
+    // Table 1 has three machines; each iteration removes one.
+    EXPECT_DOUBLE_EQ(span.at("machines").as_number(),
+                     3.0 - static_cast<double>(map_spans));
+    ++map_spans;
+  }
+  EXPECT_EQ(map_spans, 3u);
 }
 
 TEST(Trace, EventsCarryMonotonicSequenceNumbers) {

@@ -7,8 +7,8 @@
 namespace fixture {
 
 void sites() {
-  HCSCHED_METRIC_COUNT("hcsched_undocumented_total", "Not in the docs", 1);
-  HCSCHED_METRIC_COUNT("hcsched_documented_total", "In the docs", 1);
+  HCSCHED_METRIC_OBSERVE("hcsched_undocumented_ns", "Not in the docs", 1);
+  HCSCHED_METRIC_OBSERVE("hcsched_documented_ns", "In the docs", 1);
   // lint:allow(metric-docs)
   HCSCHED_METRIC_OBSERVE("hcsched_audited_ns", "Suppressed by audit", 7);
 }

@@ -12,7 +12,7 @@ void bad_span() {
 }
 
 void bad_metric() {
-  obs::metrics::counter("hcsched_fixture_raw_total").add(1);
+  obs::metrics::histogram("hcsched_fixture_raw_ns").observe(1);
 }
 
 #if HCSCHED_TRACE

@@ -382,11 +382,9 @@ void collect_declared_and_rets(const FileContext& ctx, FileSummary& out) {
 
 void collect_metric_sites(const FileContext& ctx, FileSummary& out) {
   const std::vector<Token>& toks = ctx.tokens;
-  static const std::set<std::string> kMacros = {
-      "HCSCHED_METRIC_COUNT", "HCSCHED_METRIC_GAUGE_SET",
-      "HCSCHED_METRIC_OBSERVE"};
-  static const std::set<std::string> kAccessors = {"counter", "gauge",
-                                                   "histogram"};
+  static const std::set<std::string> kMacros = {"HCSCHED_METRIC_GAUGE_SET",
+                                                "HCSCHED_METRIC_OBSERVE"};
+  static const std::set<std::string> kAccessors = {"gauge", "histogram"};
   for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
     if (toks[i].kind != Tok::Identifier) continue;
     bool site = false;

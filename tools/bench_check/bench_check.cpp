@@ -205,7 +205,7 @@ void check_stats(const JsonValue& root) {
     require(!str(m, where, "name").empty(), where + ".name",
             "expected a non-empty metric name");
     const std::string kind = str(m, where, "kind");
-    if (kind == "counter" || kind == "gauge") {
+    if (kind == "gauge") {
       num(m, where, "value");
     } else if (kind == "histogram") {
       nonneg(m, where, "count");

@@ -511,7 +511,6 @@ int cmd_stats(const Args& args) {
   }
   const sim::StudyParams params = study_params_from(args);
   obs::counters::reset();
-  obs::metrics::reset();
   sim::StudyReport report;
   {
     sim::ThreadPool pool;
@@ -519,21 +518,7 @@ int cmd_stats(const Args& args) {
   }  // joining the pool flushes every worker's counter buffer
 
   if (format == "prom") {
-    // Typed metrics first, then the fixed counter table as one labelled
-    // family so scrape configs need no per-counter name list.
-    std::string text = obs::metrics::prometheus_text();
-    text +=
-        "# HELP hcsched_ops_total Monotonic operation counters (see "
-        "docs/OBSERVABILITY.md)\n"
-        "# TYPE hcsched_ops_total counter\n";
-    const obs::JsonValue counters = obs::counters::snapshot().to_json();
-    for (const auto& [name, value] : counters.as_object()) {
-      text += "hcsched_ops_total{op=\"" + name + "\"} " +
-              std::to_string(static_cast<unsigned long long>(
-                  value.as_number())) +
-              "\n";
-    }
-    std::printf("%s", text.c_str());
+    std::printf("%s", obs::metrics::prometheus_text().c_str());
   } else {
     obs::JsonValue::Object root;
     root.reserve(5);
