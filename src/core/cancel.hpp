@@ -32,7 +32,9 @@ class CancelToken {
   /// A fresh, uncancelled token. Copies share the same state.
   CancelToken() : state_(std::make_shared<State>()) {}
 
-  /// Requests cancellation (idempotent, thread-safe).
+  /// Requests cancellation (idempotent, thread-safe). The in-tree callers
+  /// only arm deadlines; this is the producer a supervising caller uses.
+  // lint:allow(dead-symbol) — explicit cancel is half the token's contract
   void request_cancel() const noexcept {
     state_->flag.store(true, std::memory_order_relaxed);
   }
@@ -68,12 +70,6 @@ class CancelToken {
     if (now < deadline) return false;
     s.flag.store(true, std::memory_order_relaxed);
     return true;
-  }
-
-  /// Whether a deadline is armed (cancelled or not).
-  bool has_deadline() const noexcept {
-    return state_->deadline_ns.load(std::memory_order_relaxed) !=
-           kNoDeadline;
   }
 
  private:

@@ -93,6 +93,7 @@ class HCSCHED_CAPABILITY("mutex") Mutex {
 
   void lock() HCSCHED_ACQUIRE() { m_.lock(); }
   void unlock() HCSCHED_RELEASE() { m_.unlock(); }
+  // lint:allow(dead-symbol) — Lockable: std::lock/std::scoped_lock need it
   bool try_lock() HCSCHED_TRY_ACQUIRE(true) { return m_.try_lock(); }
 
  private:

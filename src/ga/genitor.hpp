@@ -48,14 +48,17 @@ class Genitor final : public heuristics::Heuristic {
 
   const GenitorConfig& config() const noexcept { return config_; }
 
-  /// Statistics of the last map() call (best makespan trajectory length,
-  /// improving steps) for the convergence benches.
+  /// Statistics of the last map() call (steps run, improving steps, first
+  /// and last best makespan): the only view of early stopping and
+  /// cancellation that survives HCSCHED_TRACE=0, where the ga_steps
+  /// counter compiles out.
   struct RunStats {
     std::size_t steps_executed = 0;
     std::size_t improvements = 0;
     double initial_best = 0.0;
     double final_best = 0.0;
   };
+  // lint:allow(dead-symbol) — convergence record, see RunStats
   const RunStats& last_run() const noexcept { return last_run_; }
 
  private:

@@ -1,56 +1,28 @@
 #include "heuristics/fastpath/fastpath.hpp"
 
 #include <atomic>
-#include <cctype>
-#include <cstdlib>
-#include <string>
 
 namespace hcsched::heuristics::fastpath {
 
 namespace {
 
-std::atomic<Mode>& mode_flag() noexcept {
-  static std::atomic<Mode> flag{Mode::kAuto};
+std::atomic<bool>& use_kernels_flag() noexcept {
+  static std::atomic<bool> flag{true};
   return flag;
-}
-
-bool env_default() noexcept {
-  // Read once: the environment is a process-start default, not a live knob
-  // (set_mode is the runtime override).
-  static const bool enabled = env_value_enables(std::getenv("HCSCHED_FASTPATH"));
-  return enabled;
 }
 
 }  // namespace
 
-bool env_value_enables(const char* value) noexcept {
-  if (value == nullptr) return true;
-  std::string lowered;
-  for (const char* p = value; *p != '\0'; ++p) {
-    lowered.push_back(
-        static_cast<char>(std::tolower(static_cast<unsigned char>(*p))));
-  }
-  return lowered != "0" && lowered != "off" && lowered != "false" &&
-         lowered != "no";
-}
-
-Mode mode() noexcept { return mode_flag().load(std::memory_order_relaxed); }
-
-void set_mode(Mode mode) noexcept {
-  mode_flag().store(mode, std::memory_order_relaxed);
-}
-
 bool enabled() noexcept {
-  if (!compiled()) return false;
-  switch (mode()) {
-    case Mode::kForceOn:
-      return true;
-    case Mode::kForceOff:
-      return false;
-    case Mode::kAuto:
-      break;
-  }
-  return env_default();
+  return use_kernels_flag().load(std::memory_order_relaxed);
+}
+
+ScopedMode::ScopedMode(bool use_kernels) noexcept
+    : previous_(use_kernels_flag().exchange(use_kernels,
+                                            std::memory_order_relaxed)) {}
+
+ScopedMode::~ScopedMode() {
+  use_kernels_flag().store(previous_, std::memory_order_relaxed);
 }
 
 }  // namespace hcsched::heuristics::fastpath

@@ -12,15 +12,9 @@
 // exactly (docs/FASTPATH.md states the invariant and the equivalence
 // guarantee; tests/test_fastpath_differential.cpp enforces it).
 //
-// Switches, in precedence order:
-//   * CMake: -DHCSCHED_FASTPATH=OFF compiles the dispatch default to the
-//     reference path; the kernel itself stays built so the differential
-//     suite can always compare both paths.
-//   * API: set_mode(Mode::kForceOn / kForceOff) — process-wide override
-//     (ScopedMode is the RAII form used by tests, benches and the study
-//     driver). Not intended for concurrent flipping from multiple threads.
-//   * Environment: HCSCHED_FASTPATH=0/off/false/no disables dispatch when
-//     the mode is kAuto (read once, at first query).
+// Production always dispatches to the kernels. The reference loops stay
+// reachable through one test seam, ScopedMode, which the differential
+// suite and the paper-example tests use to run both paths.
 #pragma once
 
 #include <span>
@@ -30,43 +24,30 @@
 #include "heuristics/sufferage.hpp"
 #include "heuristics/swa.hpp"
 
-#ifndef HCSCHED_FASTPATH
+// Always 1: the kernels are the only production dispatch. Kept as a plain
+// constant because bench/pipeline/main.cpp records it in its build
+// fingerprint.
 #define HCSCHED_FASTPATH 1
-#endif
 
 namespace hcsched::heuristics::fastpath {
 
-enum class Mode : std::uint8_t {
-  kAuto,      ///< compile-time default, overridable by HCSCHED_FASTPATH env
-  kForceOn,   ///< dispatch to the kernel (no-op when compiled() is false)
-  kForceOff,  ///< dispatch to the reference implementation
-};
-
-/// Whether the build's dispatch default allows the fast path at all
-/// (-DHCSCHED_FASTPATH). The kernel function below is compiled either way.
-constexpr bool compiled() noexcept { return HCSCHED_FASTPATH != 0; }
-
-Mode mode() noexcept;
-void set_mode(Mode mode) noexcept;
-
-/// True when detail::two_phase_greedy should dispatch to the kernel:
-/// compiled() and not forced off and (forced on or the environment default).
+/// True when the fastpath-covered heuristics dispatch to their kernels:
+/// always, unless a ScopedMode(false) is alive.
 bool enabled() noexcept;
 
-/// Parses an HCSCHED_FASTPATH environment value: "0", "off", "false", "no"
-/// (case-insensitive) disable; everything else (including null) enables.
-bool env_value_enables(const char* value) noexcept;
-
-/// RAII mode override, restoring the previous mode on scope exit.
+/// Test seam: selects the kernels (true) or the reference loops (false)
+/// for its scope and restores the previous state on exit. The state is
+/// process-wide, so a scope covers worker threads too; do not open scopes
+/// from concurrent threads.
 class ScopedMode {
  public:
-  explicit ScopedMode(Mode m) noexcept : previous_(mode()) { set_mode(m); }
-  ~ScopedMode() { set_mode(previous_); }
+  explicit ScopedMode(bool use_kernels) noexcept;
+  ~ScopedMode();
   ScopedMode(const ScopedMode&) = delete;
   ScopedMode& operator=(const ScopedMode&) = delete;
 
  private:
-  Mode previous_;
+  bool previous_;
 };
 
 // ---------------------------------------------------------------------------
@@ -76,7 +57,8 @@ class ScopedMode {
 // counts, identical RNG/script consumption. Only the etc_cell_evaluations
 // counter may differ (it reports the work actually done, which is the
 // point). docs/FASTPATH.md carries the per-kernel equivalence arguments;
-// tests/test_fastpath_differential.cpp and tools/fuzz/ enforce them.
+// tests/test_fastpath_differential.cpp and tests/fastpath_fuzz.cpp enforce
+// them.
 
 /// Two-phase greedy (Min-Min / Max-Min, and Duplex which runs both):
 /// cached phase-one decisions replayed until the updated machine slot

@@ -49,9 +49,9 @@ class Kpb final : public Heuristic {
 
 namespace detail {
 /// The reference loop: full stable sort of every machine slot by ETC per
-/// task. `subset_size` is Kpb::subset_size(problem.num_machines()). Always
-/// available — the oracle for fastpath::kpb_fast and the dispatch target
-/// when the fast path is disabled.
+/// task. `subset_size` is Kpb::subset_size(problem.num_machines()). The
+/// oracle for fastpath::kpb_fast; dispatched to only under the test seam
+/// fastpath::ScopedMode(false).
 Schedule kpb_reference(const Problem& problem, TieBreaker& ties,
                        std::size_t subset_size, std::vector<KpbStep>* trace);
 }  // namespace detail

@@ -38,11 +38,10 @@ Schedule two_phase_greedy(const Problem& problem, TieBreaker& ties,
                           bool prefer_largest);
 
 /// The reference implementation: full O(tasks x machines) rescore every
-/// round. Always available — it is the oracle the differential suite
-/// (tests/test_fastpath_differential.cpp, tools/fuzz/) compares the fast
-/// path against, and the path every build dispatches to when the fast path
-/// is disabled (-DHCSCHED_FASTPATH=OFF, HCSCHED_FASTPATH=0 in the
-/// environment, or fastpath::set_mode(kForceOff)).
+/// round. The oracle the differential suite
+/// (tests/test_fastpath_differential.cpp, tests/fastpath_fuzz.cpp) compares
+/// the fast path against; dispatched to only under the test seam
+/// fastpath::ScopedMode(false).
 Schedule two_phase_greedy_reference(const Problem& problem, TieBreaker& ties,
                                     bool prefer_largest);
 }  // namespace detail

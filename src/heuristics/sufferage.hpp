@@ -60,9 +60,9 @@ class Sufferage final : public Heuristic {
 
 namespace detail {
 /// The reference pass loop: full best/second-best rescore of every pending
-/// task each pass. Always available — the oracle the differential suite
-/// compares fastpath::sufferage_fast against, and the path dispatched to
-/// when the fast path is disabled.
+/// task each pass. The oracle the differential suite compares
+/// fastpath::sufferage_fast against; dispatched to only under the test
+/// seam fastpath::ScopedMode(false).
 Schedule sufferage_reference(const Problem& problem, TieBreaker& ties,
                              SufferageRequeue requeue,
                              std::vector<SufferageStep>* trace);

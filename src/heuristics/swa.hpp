@@ -53,8 +53,8 @@ class Swa final : public Heuristic {
 
 namespace detail {
 /// The reference loop: min/max ready-time scan plus a full score vector per
-/// task. Always available — the oracle for fastpath::swa_fast and the
-/// dispatch target when the fast path is disabled.
+/// task. The oracle for fastpath::swa_fast; dispatched to only under the
+/// test seam fastpath::ScopedMode(false).
 Schedule swa_reference(const Problem& problem, TieBreaker& ties, double low,
                        double high, std::vector<SwaStep>* trace);
 }  // namespace detail

@@ -87,6 +87,7 @@ class ScopedSpan {
   std::uint64_t trace_id() const noexcept { return trace_id_; }
   std::uint64_t span_id() const noexcept { return span_id_; }
   /// 0 for roots.
+  // lint:allow(dead-symbol) — completes the id triple the event carries
   std::uint64_t parent_span_id() const noexcept { return parent_id_; }
 
  private:
@@ -108,6 +109,7 @@ class NullSpan {
   constexpr bool recording() const noexcept { return false; }
   constexpr std::uint64_t trace_id() const noexcept { return 0; }
   constexpr std::uint64_t span_id() const noexcept { return 0; }
+  // lint:allow(dead-symbol) — mirrors ScopedSpan::parent_span_id
   constexpr std::uint64_t parent_span_id() const noexcept { return 0; }
 };
 

@@ -26,8 +26,6 @@ class TextTable {
 
   std::string to_string() const;
 
-  std::size_t num_rows() const noexcept { return rows_.size(); }
-
  private:
   std::vector<std::string> header_{};
   std::vector<std::vector<std::string>> rows_{};

@@ -69,8 +69,6 @@ class Rng {
   /// `stream_index + 1` times (each jump is 2^128 steps).
   Rng split(std::size_t stream_index) const noexcept;
 
-  Xoshiro256ss& engine() noexcept { return engine_; }
-
  private:
   Xoshiro256ss engine_;
   double spare_normal_ = 0.0;

@@ -241,16 +241,6 @@ StudyReport run_iterative_study_report(const StudyParams& params,
     throw std::invalid_argument("run_iterative_study: no heuristics");
   }
 
-  // Pin the two-phase greedy dispatch for the whole study (kAuto leaves the
-  // process-wide mode untouched, e.g. a CLI --no-fastpath override).
-  // Process-wide, but safe here: parallel_for_chunks blocks until every
-  // worker drains, so the override cannot leak into unrelated concurrent
-  // work.
-  std::optional<heuristics::fastpath::ScopedMode> fastpath_scope;
-  if (params.fastpath != heuristics::fastpath::Mode::kAuto) {
-    fastpath_scope.emplace(params.fastpath);
-  }
-
   // One slot per trial; chunks write disjoint indices, so no merge lock and
   // no completion-order dependence. Quarantine capture rides inside each
   // slot (run_one_trial appends to its own outcome), so the only shared

@@ -35,7 +35,6 @@
 #include "core/cancel.hpp"
 #include "etc/consistency.hpp"
 #include "etc/cvb_generator.hpp"
-#include "heuristics/fastpath/fastpath.hpp"
 #include "rng/tie_break.hpp"
 #include "sim/stats.hpp"
 #include "sim/thread_pool.hpp"
@@ -54,11 +53,6 @@ struct StudyParams {
   rng::TiePolicy tie_policy = rng::TiePolicy::kDeterministic;
   /// Forward the previous mapping as a seed (Genitor's protocol).
   bool use_seeding = true;
-  /// Two-phase greedy dispatch for the whole study: kAuto inherits the
-  /// process-wide mode (build/env default or a CLI --no-fastpath override);
-  /// kForceOn/kForceOff pin one path for the study's duration (used to
-  /// compare study wall-clock like for like).
-  heuristics::fastpath::Mode fastpath = heuristics::fastpath::Mode::kAuto;
   /// Optimality-gap columns (EXT-11): each trial computes one gap reference
   /// for its instance — the exact BnB optimum when proven within
   /// `gap_options`, the preemptive-relaxation lower bound otherwise — and

@@ -70,7 +70,6 @@ TEST(CoreMutex, TryLockReflectsContention) {
 TEST(CancelToken, FlagSemantics) {
   const CancelToken token;
   EXPECT_FALSE(token.cancelled());
-  EXPECT_FALSE(token.has_deadline());
   token.request_cancel();
   EXPECT_TRUE(token.cancelled());
   EXPECT_TRUE(token.cancelled());  // sticky
@@ -86,12 +85,10 @@ TEST(CancelToken, CopiesShareState) {
 TEST(CancelToken, DeadlineLatchesIntoFlag) {
   const CancelToken token;
   token.cancel_after(std::chrono::nanoseconds(0));
-  EXPECT_TRUE(token.has_deadline());
   EXPECT_TRUE(token.cancelled());
 
   const CancelToken future;
   future.cancel_after(std::chrono::hours(24));
-  EXPECT_TRUE(future.has_deadline());
   EXPECT_FALSE(future.cancelled());
 }
 

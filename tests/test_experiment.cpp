@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "heuristics/fastpath/fastpath.hpp"
 #include "sim/sweep.hpp"
 
 namespace {
@@ -54,16 +55,20 @@ TEST(Experiment, TheoremHeuristicsNeverChangeUnderDeterministicTies) {
 }
 
 TEST(Experiment, StudyStatisticsIdenticalUnderBothDispatchPaths) {
-  // The fastpath knob may change study wall-clock, never study statistics:
-  // both forced modes must reproduce identical aggregates trial for trial.
+  // The kernels may change study wall-clock, never study statistics: the
+  // reference loops (selected by the test seam, which covers the pool's
+  // worker threads) must reproduce identical aggregates trial for trial.
   StudyParams params = small_params();
-  params.heuristics = {"Min-Min", "Max-Min", "Duplex"};
+  params.heuristics = {"Min-Min", "Max-Min", "Duplex", "Sufferage", "KPB",
+                       "SWA"};
   params.tie_policy = hcsched::rng::TiePolicy::kRandom;
   ThreadPool pool(2);
-  params.fastpath = hcsched::heuristics::fastpath::Mode::kForceOff;
-  const auto ref = run_iterative_study(params, pool);
-  params.fastpath = hcsched::heuristics::fastpath::Mode::kForceOn;
-  const auto fast = run_iterative_study(params, pool);
+  const auto run_with = [&](bool use_kernels) {
+    const hcsched::heuristics::fastpath::ScopedMode scope(use_kernels);
+    return run_iterative_study(params, pool);
+  };
+  const auto ref = run_with(false);
+  const auto fast = run_with(true);
   ASSERT_EQ(ref.size(), fast.size());
   for (std::size_t h = 0; h < ref.size(); ++h) {
     EXPECT_EQ(ref[h].machines_improved, fast[h].machines_improved);

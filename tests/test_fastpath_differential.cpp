@@ -5,16 +5,16 @@
 // sequences, completion-time vectors, TieBreaker decision/tie-event counts
 // and RNG/script consumption, under every tie policy and consistency class.
 // This file is the enforcement: seeded fuzz sweeps through
-// run_differential_case (shared with tools/fuzz/fastpath_fuzz.cpp) over
+// run_differential_case (shared with fastpath_fuzz.cpp) over
 // EVERY row of the fastpath dispatch table — the covered-heuristic set is
 // derived from kernel_table(), never hardcoded, so registering a kernel
 // automatically enrolls it here — plus whole-minimizer iterative
 // differentials, non-default-knob trace comparisons, golden pins against
 // the paper's worked examples, a regression pinning the reference's
-// load-bearing phase-two list order, and the switch surface itself.
+// load-bearing phase-two list order, and the ScopedMode test seam itself.
 // docs/FASTPATH.md documents the invariant being tested.
 //
-// covers: fastpath.cpp etc_view.cpp two_phase_fast.cpp differential.cpp
+// covers: fastpath.cpp etc_view.cpp two_phase_fast.cpp
 // minscan.cpp arena.hpp workspace.cpp reuse.cpp sufferage_fast.cpp
 // kpb_fast.cpp swa_fast.cpp kernel_table.cpp
 // (stems named for the fastpath-differential lint rule)
@@ -31,7 +31,7 @@
 #include "etc/cvb_generator.hpp"
 #include "etc/etc_matrix.hpp"
 #include "heuristics/duplex.hpp"
-#include "heuristics/fastpath/differential.hpp"
+#include "differential.hpp"
 #include "heuristics/fastpath/etc_view.hpp"
 #include "heuristics/fastpath/fastpath.hpp"
 #include "heuristics/kpb.hpp"
@@ -50,7 +50,6 @@ using fastpath::DifferentialCase;
 using fastpath::DifferentialOutcome;
 using fastpath::Kernel;
 using fastpath::KernelInfo;
-using fastpath::Mode;
 using fastpath::ScopedMode;
 using hcsched::etc::Consistency;
 using hcsched::etc::EtcMatrix;
@@ -368,14 +367,14 @@ TEST(FastpathDifferential, IterativeTechniqueIdenticalUnderBothPaths) {
       const auto heuristic = hcsched::heuristics::make_heuristic(name);
       const hcsched::core::IterativeMinimizer minimizer;
 
-      const auto run_with = [&](Mode mode, std::uint64_t tie_seed) {
-        const ScopedMode scope(mode);
+      const auto run_with = [&](bool use_kernels, std::uint64_t tie_seed) {
+        const ScopedMode scope(use_kernels);
         Rng tie_rng(tie_seed);
         TieBreaker ties(tie_rng);
         return minimizer.run(*heuristic, problem, ties);
       };
-      const auto ref = run_with(Mode::kForceOff, seed * 31);
-      const auto fast = run_with(Mode::kForceOn, seed * 31);
+      const auto ref = run_with(false, seed * 31);
+      const auto fast = run_with(true, seed * 31);
 
       ASSERT_EQ(ref.iterations.size(), fast.iterations.size())
           << name << " seed " << seed;
@@ -401,7 +400,7 @@ TEST(FastpathDifferential, PaperExamplesGoldenPinsUnderFastpath) {
   // they must keep matching with the kernels forced on. Min-Min, Max-Min,
   // Sufferage, KPB and SWA all dispatch through kernels now, so this pins
   // the whole dispatch surface against hand-checked tables.
-  const ScopedMode scope(Mode::kForceOn);
+  const ScopedMode scope(true);
   for (const auto& example : hcsched::core::all_paper_examples()) {
     const auto result = hcsched::core::run_paper_example(example);
     EXPECT_TRUE(hcsched::core::example_matches(example, result))
@@ -418,14 +417,14 @@ TEST(FastpathDifferential, PhaseTwoTieBreaksInOriginalTaskOrder) {
   // flip the tie to t2, and hand t1 a different machine — a different
   // mapping, not just a different order.
   const EtcMatrix m = EtcMatrix::from_rows({{1, 10}, {4, 3}, {9, 3}});
-  const auto run = [&](Mode mode) {
-    const ScopedMode scope(mode);
+  const auto run = [&](bool use_kernels) {
+    const ScopedMode scope(use_kernels);
     TieBreaker ties;
     return hcsched::heuristics::detail::two_phase_greedy(
         Problem::full(m), ties, /*prefer_largest=*/false);
   };
-  for (const Mode mode : {Mode::kForceOff, Mode::kForceOn}) {
-    const Schedule s = run(mode);
+  for (const bool use_kernels : {false, true}) {
+    const Schedule s = run(use_kernels);
     const auto& order = s.assignment_order();
     ASSERT_EQ(order.size(), 3u);
     EXPECT_EQ(order[0].task, 0);
@@ -446,7 +445,7 @@ TEST(FastpathDifferential, EtcViewIsVerbatimCopyOfProblemCells) {
   const Problem p(m, {1}, {2, 0}, {0.0, 0.0});
   const fastpath::EtcView view(p);
   ASSERT_EQ(view.num_tasks(), 1u);
-  ASSERT_EQ(view.num_slots(), 2u);
+  ASSERT_EQ(view.row(0).size(), 2u);
   EXPECT_EQ(view.row(0)[0], 8.0);
   EXPECT_EQ(view.row(0)[1], 6.5);
 }
@@ -466,43 +465,28 @@ TEST(FastpathDifferential, EtcViewCompactEqualsFreshGatherOfShrunkProblem) {
   const Problem after(m, {0, 2, 3, 5, 6}, {0, 1, 3, 4}, {0.0, 0.0, 0.0, 0.0});
   const fastpath::EtcView fresh(after);
   ASSERT_EQ(view.num_tasks(), fresh.num_tasks());
-  ASSERT_EQ(view.num_slots(), fresh.num_slots());
   for (std::size_t p = 0; p < fresh.num_tasks(); ++p) {
-    for (std::size_t s = 0; s < fresh.num_slots(); ++s) {
+    ASSERT_EQ(view.row(p).size(), fresh.row(p).size()) << "row " << p;
+    for (std::size_t s = 0; s < fresh.row(p).size(); ++s) {
       EXPECT_EQ(view.row(p)[s], fresh.row(p)[s]) << "row " << p << " slot "
                                                  << s;
     }
   }
 }
 
-TEST(FastpathSwitch, EnvValueParsing) {
-  EXPECT_FALSE(fastpath::env_value_enables("0"));
-  EXPECT_FALSE(fastpath::env_value_enables("off"));
-  EXPECT_FALSE(fastpath::env_value_enables("OFF"));
-  EXPECT_FALSE(fastpath::env_value_enables("false"));
-  EXPECT_FALSE(fastpath::env_value_enables("False"));
-  EXPECT_FALSE(fastpath::env_value_enables("no"));
-  EXPECT_TRUE(fastpath::env_value_enables(nullptr));
-  EXPECT_TRUE(fastpath::env_value_enables(""));
-  EXPECT_TRUE(fastpath::env_value_enables("1"));
-  EXPECT_TRUE(fastpath::env_value_enables("on"));
-  EXPECT_TRUE(fastpath::env_value_enables("anything"));
-}
-
 TEST(FastpathSwitch, ScopedModeForcesAndRestores) {
-  const Mode original = fastpath::mode();
+  // Production default: the kernels.
+  EXPECT_TRUE(fastpath::enabled());
   {
-    const ScopedMode off(Mode::kForceOff);
-    EXPECT_EQ(fastpath::mode(), Mode::kForceOff);
+    const ScopedMode off(false);
     EXPECT_FALSE(fastpath::enabled());
     {
-      const ScopedMode on(Mode::kForceOn);
-      EXPECT_EQ(fastpath::mode(), Mode::kForceOn);
-      EXPECT_EQ(fastpath::enabled(), fastpath::compiled());
+      const ScopedMode on(true);
+      EXPECT_TRUE(fastpath::enabled());
     }
-    EXPECT_EQ(fastpath::mode(), Mode::kForceOff);
+    EXPECT_FALSE(fastpath::enabled());
   }
-  EXPECT_EQ(fastpath::mode(), original);
+  EXPECT_TRUE(fastpath::enabled());
 }
 
 TEST(FastpathSwitch, DispatcherFollowsMode) {
@@ -518,8 +502,8 @@ TEST(FastpathSwitch, DispatcherFollowsMode) {
   }();
   const Problem problem = Problem::full(m);
 #if HCSCHED_TRACE
-  const auto evals_under = [&](Mode mode) {
-    const ScopedMode scope(mode);
+  const auto evals_under = [&](bool use_kernels) {
+    const ScopedMode scope(use_kernels);
     TieBreaker ties;
     const auto before = hcsched::obs::counters::snapshot();
     (void)hcsched::heuristics::detail::two_phase_greedy(problem, ties,
@@ -528,17 +512,11 @@ TEST(FastpathSwitch, DispatcherFollowsMode) {
     return after.delta_since(
         before)[hcsched::obs::Counter::kEtcCellEvaluations];
   };
-  if (fastpath::compiled()) {
-    EXPECT_LT(evals_under(Mode::kForceOn), evals_under(Mode::kForceOff));
-  } else {
-    // -DHCSCHED_FASTPATH=OFF: kForceOn is a documented no-op and both
-    // dispatches run the reference loop.
-    EXPECT_EQ(evals_under(Mode::kForceOn), evals_under(Mode::kForceOff));
-  }
+  EXPECT_LT(evals_under(true), evals_under(false));
 #else
   // Without counters just exercise both dispatch directions.
-  for (const Mode mode : {Mode::kForceOff, Mode::kForceOn}) {
-    const ScopedMode scope(mode);
+  for (const bool use_kernels : {false, true}) {
+    const ScopedMode scope(use_kernels);
     TieBreaker ties;
     EXPECT_TRUE(hcsched::heuristics::detail::two_phase_greedy(problem, ties,
                                                               false)

@@ -145,10 +145,9 @@ TEST(TwoPhaseGreedyInvariants, NeverAssignsToRemovedMachine) {
   // Under the iterative technique, every machine the previous iterations
   // froze is gone from the shrunk Problem; neither greedy path may ever
   // assign a task to one — whichever dispatch mode is active.
-  using hcsched::heuristics::fastpath::Mode;
   using hcsched::heuristics::fastpath::ScopedMode;
-  for (const Mode mode : {Mode::kForceOff, Mode::kForceOn}) {
-    const ScopedMode scope(mode);
+  for (const bool use_kernels : {false, true}) {
+    const ScopedMode scope(use_kernels);
     for (const char* name : {"Min-Min", "Max-Min"}) {
       const auto heuristic = hcsched::heuristics::make_heuristic(name);
       for (std::uint64_t seed = 1; seed <= 4; ++seed) {
@@ -179,10 +178,9 @@ TEST(TwoPhaseGreedyInvariants, MinMinRoundBestCompletionTimesMonotone) {
   // Min-Min picks the globally smallest attainable completion time each
   // round, and ready times only grow, so the sequence of assigned finish
   // times is non-decreasing. Holds for both dispatch paths.
-  using hcsched::heuristics::fastpath::Mode;
   using hcsched::heuristics::fastpath::ScopedMode;
-  for (const Mode mode : {Mode::kForceOff, Mode::kForceOn}) {
-    const ScopedMode scope(mode);
+  for (const bool use_kernels : {false, true}) {
+    const ScopedMode scope(use_kernels);
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
       const EtcMatrix m = random_matrix(seed + 300, 32, 5);
       TieBreaker ties;
@@ -201,11 +199,10 @@ TEST(SufferageInvariants, SufferageValuesNonNegativeUnderBothPaths) {
   // A task's sufferage is second-best CT minus best CT, so it can never be
   // negative, and with a single machine it is defined as 0 (sufferage.hpp).
   // Checked through the commit trace with the kernel dispatched both ways.
-  using hcsched::heuristics::fastpath::Mode;
   using hcsched::heuristics::fastpath::ScopedMode;
   const hcsched::heuristics::Sufferage sufferage;
-  for (const Mode mode : {Mode::kForceOff, Mode::kForceOn}) {
-    const ScopedMode scope(mode);
+  for (const bool use_kernels : {false, true}) {
+    const ScopedMode scope(use_kernels);
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
       const EtcMatrix m = random_matrix(seed + 400, 28, 6);
       TieBreaker ties;
@@ -235,11 +232,10 @@ TEST(KpbInvariants, ChosenMachineInsideKPercentSubsetUnderBothPaths) {
   // KPB may only assign inside the k-percent-best subset, the subset must
   // have exactly max(1, floor(m*k/100)) distinct valid machines, and every
   // subset member's ETC must be <= every non-member's ETC for that task.
-  using hcsched::heuristics::fastpath::Mode;
   using hcsched::heuristics::fastpath::ScopedMode;
   const hcsched::heuristics::Kpb kpb(70.0);
-  for (const Mode mode : {Mode::kForceOff, Mode::kForceOn}) {
-    const ScopedMode scope(mode);
+  for (const bool use_kernels : {false, true}) {
+    const ScopedMode scope(use_kernels);
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
       const EtcMatrix m = random_matrix(seed + 500, 24, 6);
       const Problem problem = Problem::full(m);
@@ -280,12 +276,11 @@ TEST(SwaInvariants, BalanceIndexAndModeFollowHysteresisUnderBothPaths) {
   // is mapped by MCT with no index; afterwards the mode follows the paper's
   // hysteresis — above high switches to MET, below low back to MCT,
   // in between the previous mode sticks.
-  using hcsched::heuristics::fastpath::Mode;
   using hcsched::heuristics::fastpath::ScopedMode;
   using hcsched::heuristics::SwaMode;
   const hcsched::heuristics::Swa swa;  // defaults: low 0.35, high 0.49
-  for (const Mode mode : {Mode::kForceOff, Mode::kForceOn}) {
-    const ScopedMode scope(mode);
+  for (const bool use_kernels : {false, true}) {
+    const ScopedMode scope(use_kernels);
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
       const EtcMatrix m = random_matrix(seed + 600, 28, 5);
       TieBreaker ties;

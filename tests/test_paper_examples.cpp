@@ -1,13 +1,27 @@
 // Regression oracles: every reconstructed worked example must reproduce the
 // paper's reported numbers exactly (EXPERIMENTS.md maps these to Tables
-// 1-17 / Figures 3-19).
+// 1-17 / Figures 3-19), through the fastpath kernels and through the
+// reference loops alike.
 #include "core/paper_examples.hpp"
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/theorems.hpp"
+#include "heuristics/fastpath/fastpath.hpp"
 #include "heuristics/registry.hpp"
 #include "sched/validate.hpp"
+
+namespace hcsched::core {
+
+// gtest prints a parameter into each test's name; without this overload it
+// dumps the struct's raw bytes, heap pointers included.
+void PrintTo(const PaperExample& example, std::ostream* os) {
+  *os << example.id;
+}
+
+}  // namespace hcsched::core
 
 namespace {
 
@@ -20,13 +34,17 @@ class PaperExampleTest : public ::testing::TestWithParam<PaperExample> {};
 
 TEST_P(PaperExampleTest, ReproducesReportedCompletionTimes) {
   const PaperExample& ex = GetParam();
-  const auto result = run_paper_example(ex);
-  EXPECT_TRUE(example_matches(ex, result)) << ex.id;
-  // Every example in the paper demonstrates a makespan increase.
-  EXPECT_TRUE(result.makespan_increased()) << ex.id;
-  for (const auto& it : result.iterations) {
-    EXPECT_TRUE(hcsched::sched::is_valid(it.schedule))
-        << ex.id << " iteration " << it.index;
+  for (const bool use_kernels : {false, true}) {
+    SCOPED_TRACE(use_kernels ? "fastpath kernels" : "reference loops");
+    const hcsched::heuristics::fastpath::ScopedMode scope(use_kernels);
+    const auto result = run_paper_example(ex);
+    EXPECT_TRUE(example_matches(ex, result)) << ex.id;
+    // Every example in the paper demonstrates a makespan increase.
+    EXPECT_TRUE(result.makespan_increased()) << ex.id;
+    for (const auto& it : result.iterations) {
+      EXPECT_TRUE(hcsched::sched::is_valid(it.schedule))
+          << ex.id << " iteration " << it.index;
+    }
   }
 }
 

@@ -40,10 +40,23 @@ TEST(TextTable, HandlesShortRows) {
 }
 
 TEST(TextTable, NumRows) {
-  TextTable t;
-  EXPECT_EQ(t.num_rows(), 0u);
+  // Every added row renders as one more "| ... |" line (the output opens
+  // with a "+---+" rule, so each such line follows a newline).
+  const auto grid_lines = [](const TextTable& t) {
+    const std::string s = t.to_string();
+    std::size_t lines = 0;
+    for (std::size_t at = s.find("\n|"); at != std::string::npos;
+         at = s.find("\n|", at + 1)) {
+      ++lines;
+    }
+    return lines;
+  };
+  TextTable t({"h"});
+  const std::size_t header_only = grid_lines(t);
   t.add_row({"x"});
-  EXPECT_EQ(t.num_rows(), 1u);
+  EXPECT_EQ(grid_lines(t), header_only + 1);
+  t.add_row({"y"});
+  EXPECT_EQ(grid_lines(t), header_only + 2);
 }
 
 TEST(Gantt, ShowsEveryMachineAndCompletionTime) {

@@ -524,8 +524,15 @@ void check_dead_symbols(const Index& ix, std::vector<Finding>& out) {
   // Name-level liveness, deliberately unfiltered by visibility: a name
   // referenced anywhere live keeps every same-named definition alive
   // (over-approximate liveness = no false "dead" reports from overload
-  // sets or virtual dispatch).
-  auto is_root = [](const Def& d) {
+  // sets or virtual dispatch). Roots are the entry points outside src/ — the
+  // CLI, tools, benches and examples. tests/ is not a root: a src/
+  // function only a test calls is dead production code, so test files
+  // neither keep anything alive nor get reported themselves.
+  auto in_tests = [](const FileSummary& f) {
+    return starts_with(f.relative, "tests/");
+  };
+  auto is_root = [&](const Def& d) {
+    if (in_tests(*d.file)) return false;
     return !starts_with(d.file->relative, "src/") ||
            d.rec->name == "main" || d.rec->is_operator ||
            d.rec->is_special || d.rec->is_template || d.rec->allow_dead ||
@@ -534,6 +541,7 @@ void check_dead_symbols(const Index& ix, std::vector<Finding>& out) {
   std::set<std::string> live;
   std::vector<bool> absorbed(ix.defs.size(), false);
   for (const FileSummary* f : ix.file_scopes) {
+    if (in_tests(*f)) continue;
     for (const FunctionRecord& r : f->functions) {
       if (r.file_scope) live.insert(r.refs.begin(), r.refs.end());
     }
@@ -555,13 +563,15 @@ void check_dead_symbols(const Index& ix, std::vector<Finding>& out) {
   }
   for (std::size_t i = 0; i < ix.defs.size(); ++i) {
     const Def& d = ix.defs[i];
-    if (is_root(d) || live.count(d.rec->name)) continue;
+    if (in_tests(*d.file) || is_root(d) || live.count(d.rec->name)) {
+      continue;
+    }
     out.push_back(Finding{
         d.file->relative, d.rec->line, "dead-symbol",
         "function '" + d.rec->qualified +
-            "' is reachable from no CLI entry point, test, bench, or "
-            "registry factory — delete it or mark the definition "
-            "'// lint:allow(dead-symbol)'"});
+            "' is reachable from no CLI entry point, tool, bench, example, "
+            "or registry factory (tests do not count) — delete it or mark "
+            "the definition '// lint:allow(dead-symbol)' with the reason"});
   }
 }
 

@@ -69,7 +69,6 @@ constexpr std::pair<std::string_view, std::string_view> kPrefixComponents[] =
         {"src/sim/", "sim"},
         {"src/report/", "report"},
         {"tools/analyze/", "tools/analyze"},
-        {"tools/fuzz/", "tools/fuzz"},
         {"tools/bench_check/", "tools/bench_check"},
         {"bench/", "bench"},
 };
@@ -108,7 +107,6 @@ const std::map<std::string, std::vector<std::string>>& component_deps() {
       // bench poking those marks the audited include
       // '// lint:allow(layering)'.
       {"tools/analyze", {}},
-      {"tools/fuzz", {"core/base", "rng", "etc", "sched", "heuristics"}},
       {"tools/bench_check",
        {"core/base", "rng", "etc", "sched", "heuristics", "obs"}},
       {"tools/cli",

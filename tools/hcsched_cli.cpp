@@ -29,8 +29,6 @@
 //
 // Global flags (any subcommand):
 //   --trace FILE.jsonl   stream structured events (JSON Lines) to FILE
-//   --no-fastpath        force the reference two-phase greedy loop (the
-//                        HCSCHED_FASTPATH env var does the same for kAuto)
 //   --fault SPEC[,SPEC]  arm fault injection, SPEC = <site>:<rate>[:<seed>]
 //                        (the HCSCHED_FAULT env var does the same); see
 //                        docs/ROBUSTNESS.md for the site registry
@@ -74,7 +72,6 @@
 #include "etc/cvb_generator.hpp"
 #include "etc/etc_io.hpp"
 #include "etc/range_generator.hpp"
-#include "heuristics/fastpath/fastpath.hpp"
 #include "heuristics/registry.hpp"
 #include "obs/counters.hpp"
 #include "obs/metrics.hpp"
@@ -99,8 +96,7 @@ using namespace hcsched;
 
 /// Flags every subcommand accepts.
 const std::set<std::string>& global_flags() {
-  static const std::set<std::string> flags = {"trace", "no-fastpath",
-                                              "fault"};
+  static const std::set<std::string> flags = {"trace", "fault"};
   return flags;
 }
 
@@ -119,13 +115,15 @@ class Args {
         return;
       }
       key = key.substr(2);
-      if (key == "no-seeding" || key == "json" || key == "gap" ||
-          key == "no-fastpath") {  // boolean flags
+      if (key == "no-seeding" || key == "json" ||
+          key == "gap") {  // boolean flags
         values_[key] = "true";
         continue;
       }
       if (i + 1 >= argc) {
-        error_ = "missing value for --" + key;
+        // Reported by finish() after the unknown-flag check, so an unknown
+        // trailing flag is named as unknown, not as missing its value.
+        missing_value_ = key;
         return;
       }
       values_[key] = argv[++i];
@@ -139,10 +137,18 @@ class Args {
 
   /// Rejects any parsed flag that is neither global nor allowed.
   void finish() const {
+    const auto known = [&](const std::string& key) {
+      return allowed_.count(key) != 0 || global_flags().count(key) != 0;
+    };
     for (const auto& [key, value] : values_) {
-      if (allowed_.count(key) == 0 && global_flags().count(key) == 0) {
+      if (!known(key)) {
         throw std::invalid_argument("unknown flag '--" + key + "'");
       }
+    }
+    if (!missing_value_.empty()) {
+      throw std::invalid_argument(
+          known(missing_value_) ? "missing value for --" + missing_value_
+                                : "unknown flag '--" + missing_value_ + "'");
     }
   }
 
@@ -188,6 +194,7 @@ class Args {
   std::map<std::string, std::string> values_{};
   std::set<std::string> allowed_{};
   std::string error_{};
+  std::string missing_value_{};
 };
 
 void print_usage(std::FILE* out) {
@@ -197,7 +204,6 @@ void print_usage(std::FILE* out) {
       "<list|generate|map|iterate|report|study|sweep|stats|witness|optimal|"
       "online> [--flags]\n"
       "global flags: --trace FILE.jsonl (stream structured events), "
-      "--no-fastpath (reference two-phase greedy loop), "
       "--fault <site>:<rate>[:<seed>] (arm fault injection), --version\n"
       "see the header of tools/hcsched_cli.cpp for the full flag list\n");
 }
@@ -685,9 +691,6 @@ int main(int argc, char** argv) {
   std::optional<obs::ScopedSink> trace_scope;
   try {
     args.finish();  // reject undeclared flags with a non-zero exit
-    if (args.get("no-fastpath")) {
-      heuristics::fastpath::set_mode(heuristics::fastpath::Mode::kForceOff);
-    }
     if (const auto fault_specs = args.get("fault")) {
       std::string_view specs(*fault_specs);
       while (!specs.empty()) {
