@@ -155,7 +155,8 @@ IterativeResult IterativeMinimizer::run(const Heuristic& heuristic,
                         obs::JsonValue(record.makespan));
       HCSCHED_SPAN_ATTR(
           iteration_span, "makespan_machine",
-          obs::JsonValue("m" + std::to_string(record.makespan_machine)));
+          obs::JsonValue(std::string("m").append(
+              std::to_string(record.makespan_machine))));
     }
     // Heuristics must return complete mappings: every task of the (current,
     // possibly shrunk) problem assigned exactly once.

@@ -1,6 +1,5 @@
-// Bump-pool and small-vector building blocks for the fastpath kernels'
-// per-trial state (idiom after LLVM's BumpPtrAllocator / SmallVector; see
-// docs/FASTPATH.md "Batching and allocation").
+// Bump-pool building block for the fastpath kernels' per-trial state
+// (idiom after LLVM's BumpPtrAllocator; see docs/FASTPATH.md).
 //
 // The kernels lay their per-task state out as structure-of-arrays slices
 // carved from typed bump pools: one reset() per kernel invocation sizes the
@@ -13,7 +12,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstring>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -50,56 +48,6 @@ class BumpPool {
  private:
   std::vector<T> storage_{};
   std::size_t used_ = 0;
-};
-
-/// Fixed inline storage for the first `N` elements, heap beyond — for the
-/// short, hot lists (a pass's updated machine slots, a round's phase-two
-/// candidates) that are almost always tiny but occasionally spill.
-template <typename T, std::size_t N>
-class SmallVec {
-  static_assert(std::is_trivially_copyable_v<T> &&
-                    std::is_trivially_destructible_v<T>,
-                "SmallVec is for trivially-copyable elements");
-
- public:
-  SmallVec() = default;
-  ~SmallVec() { delete[] heap_; }
-  SmallVec(const SmallVec&) = delete;
-  SmallVec& operator=(const SmallVec&) = delete;
-
-  void clear() noexcept { size_ = 0; }
-  std::size_t size() const noexcept { return size_; }
-  bool empty() const noexcept { return size_ == 0; }
-
-  void push_back(T value) {
-    if (size_ == capacity_) grow();
-    data_[size_++] = value;
-  }
-
-  const T* begin() const noexcept { return data_; }
-  const T* end() const noexcept { return data_ + size_; }
-  T operator[](std::size_t i) const noexcept { return data_[i]; }
-
-  std::span<const T> as_span() const noexcept {
-    return std::span<const T>(data_, size_);
-  }
-
- private:
-  void grow() {
-    const std::size_t next = capacity_ * 2;
-    T* wide = new T[next];
-    std::memcpy(wide, data_, size_ * sizeof(T));
-    delete[] heap_;
-    heap_ = wide;
-    data_ = wide;
-    capacity_ = next;
-  }
-
-  T inline_[N] = {};
-  T* data_ = inline_;
-  T* heap_ = nullptr;
-  std::size_t capacity_ = N;
-  std::size_t size_ = 0;
 };
 
 }  // namespace hcsched::heuristics::fastpath

@@ -7,10 +7,15 @@
 // round changes exactly one machine's ready time, and ready times only grow:
 // a surviving task's phase-one decision can change ONLY if the updated
 // machine slot was inside its epsilon-tied best set. All other tasks keep a
-// bit-identical candidate set and merely *replay* their TieBreaker decision,
-// which preserves the decision/tie-event counts and the RNG or script stream
-// exactly (docs/FASTPATH.md states the invariant and the equivalence
-// guarantee; tests/test_fastpath_differential.cpp enforces it).
+// bit-identical candidate set and merely *replay* their decision. A round
+// therefore costs only the work that changed: invalidated tasks come off
+// per-slot reverse lists, singleton replays are accounted in bulk
+// (TieBreaker::account_unique, no RNG draw or script entry, exactly as the
+// reference's one-candidate decisions), genuine ties redraw in list order,
+// and phase two reads its target and tied set off a tournament tree. The
+// decision/tie-event counts and the RNG or script stream match the
+// reference exactly (docs/FASTPATH.md states the invariant and the
+// equivalence argument; tests/test_fastpath_differential.cpp enforces it).
 //
 // Production always dispatches to the kernels. The reference loops stay
 // reachable through one test seam, ScopedMode, which the differential
@@ -62,7 +67,8 @@ class ScopedMode {
 
 /// Two-phase greedy (Min-Min / Max-Min, and Duplex which runs both):
 /// cached phase-one decisions replayed until the updated machine slot
-/// enters a task's epsilon-tied best set.
+/// enters a task's epsilon-tied best set; phase two on a min tournament
+/// tree over task positions (keys negated for Max-Min).
 Schedule two_phase_greedy_fast(const Problem& problem, TieBreaker& ties,
                                bool prefer_largest);
 

@@ -6,8 +6,7 @@
 // the trial's exact element counts and carving its structure-of-arrays
 // slices from them; on the second and every later trial of a study cell the
 // backing vectors already have the capacity, so steady-state kernel
-// execution performs zero heap allocations (the TieBreaker's own resolve
-// buffer excepted — both paths share that cost). Thread-locality makes the
+// execution performs zero heap allocations. Thread-locality makes the
 // study driver's worker pool safe with no locks and no false sharing.
 #pragma once
 

@@ -8,54 +8,61 @@ namespace hcsched::rng {
 
 std::size_t TieBreaker::choose_min(std::span<const double> scores) {
   if (scores.empty()) return npos;
-  ++decisions_;
   double best = scores[0];
   for (double s : scores) best = std::min(best, s);
-  std::vector<std::size_t> ties;
-  for (std::size_t i = 0; i < scores.size(); ++i) {
-    if (tied(best, scores[i])) ties.push_back(i);
-  }
-  return resolve(ties);
+  return choose_tied(scores, best);
 }
 
 std::size_t TieBreaker::choose_max(std::span<const double> scores) {
   if (scores.empty()) return npos;
-  ++decisions_;
   double best = scores[0];
   for (double s : scores) best = std::max(best, s);
-  std::vector<std::size_t> ties;
-  for (std::size_t i = 0; i < scores.size(); ++i) {
-    if (tied(best, scores[i])) ties.push_back(i);
+  return choose_tied(scores, best);
+}
+
+std::size_t TieBreaker::choose_tied(std::span<const double> scores,
+                                    double best) {
+  // Two passes instead of a buffer of tied indices: count the tied set,
+  // draw the k-th member's rank, then find it. Same draw, no allocation.
+  ++decisions_;
+  std::size_t count = 0;
+  for (double s : scores) count += tied(best, s) ? 1u : 0u;
+  std::size_t k = draw(count);
+  if (k == npos) return npos;
+  for (std::size_t i = 0;; ++i) {
+    if (tied(best, scores[i]) && k-- == 0) return i;
   }
-  return resolve(ties);
 }
 
 std::size_t TieBreaker::choose_among(std::span<const std::size_t> tied_set) {
   if (tied_set.empty()) return npos;
   ++decisions_;
-  std::vector<std::size_t> ties(tied_set.begin(), tied_set.end());
-  return resolve(ties);
+  return tied_set[draw(tied_set.size())];
 }
 
-std::size_t TieBreaker::resolve(const std::vector<std::size_t>& ties) {
+void TieBreaker::account_unique(std::size_t k) noexcept {
+  decisions_ += k;
+  HCSCHED_COUNT(obs::Counter::kTieDecisions, k);
+}
+
+std::size_t TieBreaker::draw(std::size_t count) {
   HCSCHED_COUNT(obs::Counter::kTieDecisions);
-  if (ties.empty()) return npos;
-  if (ties.size() == 1) return ties.front();
+  if (count == 0) return npos;
+  if (count == 1) return 0;
   ++tie_events_;
   HCSCHED_COUNT(obs::Counter::kTieEvents);
   switch (policy_) {
     case TiePolicy::kDeterministic:
-      return ties.front();
+      return 0;
     case TiePolicy::kRandom:
-      return ties[static_cast<std::size_t>(rng_->below(ties.size()))];
+      return static_cast<std::size_t>(rng_->below(count));
     case TiePolicy::kScripted: {
       std::size_t pick = 0;
       if (script_pos_ < script_.size()) pick = script_[script_pos_++];
-      if (pick >= ties.size()) pick = ties.size() - 1;
-      return ties[pick];
+      return std::min(pick, count - 1);
     }
   }
-  return ties.front();
+  return 0;
 }
 
 }  // namespace hcsched::rng

@@ -62,6 +62,11 @@ class TieBreaker {
   /// Choose among an explicit tied set (indices into some caller structure).
   std::size_t choose_among(std::span<const std::size_t> tied);
 
+  /// Records `k` decisions over singleton sets in O(1): the same counts as
+  /// k choose_among calls on one-element sets, which never draw from the
+  /// RNG or consume a script entry.
+  void account_unique(std::size_t k) noexcept;
+
   /// Number of genuine ties (|tied set| > 1) resolved so far.
   std::size_t tie_events() const noexcept { return tie_events_; }
 
@@ -72,7 +77,12 @@ class TieBreaker {
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
  private:
-  std::size_t resolve(const std::vector<std::size_t>& tied);
+  /// Picks the index of the chosen candidate in [0, count) under the policy
+  /// and does the decision's bookkeeping; count == 0 returns npos.
+  std::size_t draw(std::size_t count);
+
+  /// choose_min/choose_max body: `best` is the extreme of `scores`.
+  std::size_t choose_tied(std::span<const double> scores, double best);
 
   TiePolicy policy_;
   Rng* rng_ = nullptr;

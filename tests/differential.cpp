@@ -1,6 +1,9 @@
 #include "differential.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "core/iterative.hpp"
@@ -32,7 +35,7 @@ const char* policy_name(rng::TiePolicy policy) noexcept {
 /// deterministically from `rng` (roughly 3/4 of the tasks, 2/3 of the
 /// machines, never empty).
 Problem derive_subset(const etc::EtcMatrix& matrix, double mean_ready,
-                      rng::Rng& rng) {
+                      bool integer_ready, rng::Rng& rng) {
   std::vector<sched::TaskId> tasks;
   for (std::size_t t = 0; t < matrix.num_tasks(); ++t) {
     if (!rng.chance(0.25)) tasks.push_back(static_cast<sched::TaskId>(t));
@@ -48,7 +51,8 @@ Problem derive_subset(const etc::EtcMatrix& matrix, double mean_ready,
   std::vector<double> ready;
   ready.reserve(machines.size());
   for (std::size_t i = 0; i < machines.size(); ++i) {
-    ready.push_back(rng.uniform(0.0, mean_ready));
+    const double r = rng.uniform(0.0, mean_ready);
+    ready.push_back(integer_ready ? std::round(r) : r);
   }
   return Problem(matrix, std::move(tasks), std::move(machines),
                  std::move(ready));
@@ -133,11 +137,21 @@ DifferentialOutcome run_differential_case(const DifferentialCase& c) {
   params.mean_task_time = c.mean_task_time;
   params.v_task = c.v_task;
   params.v_machine = c.v_machine;
-  const etc::EtcMatrix matrix = etc::shape_consistency(
+  etc::EtcMatrix matrix = etc::shape_consistency(
       etc::CvbEtcGenerator(params).generate(rng), c.consistency);
-  const Problem problem = c.subset
-                              ? derive_subset(matrix, c.mean_task_time, rng)
-                              : Problem::full(matrix);
+  if (c.integer_cells) {
+    // Rounding is monotone, so it keeps the consistency class.
+    for (std::size_t t = 0; t < c.tasks; ++t) {
+      for (std::size_t m = 0; m < c.machines; ++m) {
+        double& cell = matrix.at(static_cast<sched::TaskId>(t),
+                                 static_cast<sched::MachineId>(m));
+        cell = std::max(1.0, std::round(cell));
+      }
+    }
+  }
+  const Problem problem =
+      c.subset ? derive_subset(matrix, c.mean_task_time, c.integer_cells, rng)
+               : Problem::full(matrix);
 
   // Identically-seeded tie state per path: the comparison is meaningful
   // only if both paths face the exact same random stream / script.
@@ -193,14 +207,28 @@ DifferentialOutcome run_differential_case(const DifferentialCase& c) {
     const auto before_fast = obs::counters::snapshot();
 #endif
     const Schedule fast = info.fast(problem, fast_ties);
+    outcome.divergence = first_divergence(ref, fast);
 #if HCSCHED_TRACE
     const auto after = obs::counters::snapshot();
-    outcome.reference_cell_evals = before_fast.delta_since(
-        before_ref)[obs::Counter::kEtcCellEvaluations];
-    outcome.fastpath_cell_evals =
-        after.delta_since(before_fast)[obs::Counter::kEtcCellEvaluations];
+    const auto ref_delta = before_fast.delta_since(before_ref);
+    const auto fast_delta = after.delta_since(before_fast);
+    outcome.reference_cell_evals = ref_delta[obs::Counter::kEtcCellEvaluations];
+    outcome.fastpath_cell_evals = fast_delta[obs::Counter::kEtcCellEvaluations];
+    // The counters must agree as well as the TieBreakers' own tallies: a
+    // kernel that accounts decisions in bulk must charge them to the
+    // counter too.
+    for (const auto& [counter, label] :
+         {std::pair{obs::Counter::kTieDecisions, "decision"},
+          std::pair{obs::Counter::kTieEvents, "tie-event"}}) {
+      if (outcome.divergence.empty() &&
+          ref_delta[counter] != fast_delta[counter]) {
+        std::ostringstream out;
+        out << "TieBreaker " << label << " counter deltas differ: reference "
+            << ref_delta[counter] << " vs fastpath " << fast_delta[counter];
+        outcome.divergence = out.str();
+      }
+    }
 #endif
-    outcome.divergence = first_divergence(ref, fast);
   }
 
   if (outcome.divergence.empty() &&
@@ -228,7 +256,8 @@ std::string describe(const DifferentialCase& c) {
       << " consistency=" << etc::to_string(c.consistency)
       << " policy=" << policy_name(c.policy)
       << " heuristic=" << find_kernel(c.kernel)->name
-      << (c.subset ? " subset" : "") << (c.iterative ? " iterative" : "");
+      << (c.integer_cells ? " integer" : "") << (c.subset ? " subset" : "")
+      << (c.iterative ? " iterative" : "");
   return out.str();
 }
 

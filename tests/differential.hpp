@@ -32,6 +32,11 @@ struct DifferentialCase {
   /// Compare full IterativeMinimizer::run outcomes (every iteration's
   /// mapping across cut points, fastpath off vs on) instead of one mapping.
   bool iterative = false;
+  /// Round every ETC cell (and, for subset cases, every initial ready
+  /// time) to an integer of at least 1, so exact ties are common in every
+  /// phase of every heuristic. CVB draws are continuous and almost never
+  /// tie exactly on their own, whatever the mean.
+  bool integer_cells = false;
   double mean_task_time = 100.0;
   double v_task = 0.6;
   double v_machine = 0.6;
@@ -51,7 +56,9 @@ struct DifferentialOutcome {
 /// Generates the case's CVB matrix and compares the reference loop against
 /// the kernel under identically-seeded TieBreakers: assignment sequences
 /// (task, machine, start, finish — exact doubles), completion-time vectors
-/// by slot, and the TieBreakers' decision/tie-event counts. Iterative cases
+/// by slot, and the TieBreakers' decision/tie-event counts (plus, under
+/// HCSCHED_TRACE, the kTieDecisions/kTieEvents counter deltas of the two
+/// single-mapping paths). Iterative cases
 /// run the whole minimizer under ScopedMode(false) and ScopedMode(true) and
 /// additionally compare iteration counts, every iteration's mapping, the
 /// per-iteration makespan machines, and the final finishing-time table.

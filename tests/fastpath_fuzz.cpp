@@ -60,12 +60,13 @@ fastpath::DifferentialCase derive_case(std::uint64_t seed,
       hcsched::etc::Consistency::kInconsistent,
   };
   c.consistency = kClasses[rng.below(3)];
-  // Every fourth seed drops the mean so integer-heavy matrices manufacture
-  // epsilon ties; the rest stay in the well-separated regime.
+  // Every fourth seed rounds the cells to small integers, which manufactures
+  // exact ties in every phase; the rest stay in the well-separated regime.
   if (seed % 4 == 0) {
     c.mean_task_time = 3.0;
     c.v_task = 0.3;
     c.v_machine = 0.3;
+    c.integer_cells = true;
   }
   const std::size_t full_grid = 3 * table.size();
   if (variation < full_grid) {

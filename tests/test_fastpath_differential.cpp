@@ -128,10 +128,9 @@ TEST(FastpathDifferential, SubsetProblemsWithNonzeroReadyTimes) {
 }
 
 TEST(FastpathDifferential, NarrowEpsilonManufacturesManyTies) {
-  // Large v_task/v_machine CVB draws rarely tie to 1e-9; integer-valued
-  // matrices (v -> small, rounded means) tie constantly. Exercise the tied
-  // regime explicitly for every kernel: small mean forces coincident
-  // completion times.
+  // Continuous CVB draws rarely tie to 1e-9; integer-valued matrices tie
+  // constantly. Exercise the tied regime explicitly for every kernel: a
+  // small mean rounded to integers forces coincident completion times.
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     for (const auto policy : {TiePolicy::kDeterministic, TiePolicy::kRandom,
                               TiePolicy::kScripted}) {
@@ -142,13 +141,46 @@ TEST(FastpathDifferential, NarrowEpsilonManufacturesManyTies) {
         c.machines = 4;
         c.policy = policy;
         c.kernel = info.kernel;
-        c.mean_task_time = 3.0;  // CVB rounds to a handful of distinct values
+        c.mean_task_time = 3.0;  // rounds to a handful of distinct values
         c.v_task = 0.3;
         c.v_machine = 0.3;
+        c.integer_cells = true;
         const DifferentialOutcome outcome =
             fastpath::run_differential_case(c);
         EXPECT_TRUE(outcome.equivalent)
             << fastpath::describe(c) << ": " << outcome.divergence;
+      }
+    }
+  }
+}
+
+TEST(FastpathDifferential, TieHeavyTwoPhaseAcrossBitsetWordsAndTreeSizes) {
+  // The two-phase kernel keeps genuine phase-one ties in a bitset over task
+  // positions and phase-two candidates in a tournament tree padded to a
+  // power of two. Task counts straddle 64-bit word boundaries (63, 64, 65)
+  // and fill non-power-of-two trees (65, 130, 300), on integer-heavy
+  // matrices where both phases tie constantly.
+  for (const std::size_t tasks : {63u, 64u, 65u, 130u, 300u}) {
+    for (const Kernel kernel : {Kernel::kMinMin, Kernel::kMaxMin}) {
+      for (const auto policy : {TiePolicy::kDeterministic, TiePolicy::kRandom,
+                                TiePolicy::kScripted}) {
+        for (const bool subset : {false, true}) {
+          DifferentialCase c;
+          c.seed = tasks * 31 + (subset ? 1 : 0);
+          c.tasks = tasks;
+          c.machines = 6;
+          c.policy = policy;
+          c.kernel = kernel;
+          c.subset = subset;
+          c.mean_task_time = 3.0;
+          c.v_task = 0.3;
+          c.v_machine = 0.3;
+          c.integer_cells = true;
+          const DifferentialOutcome outcome =
+              fastpath::run_differential_case(c);
+          EXPECT_TRUE(outcome.equivalent)
+              << fastpath::describe(c) << ": " << outcome.divergence;
+        }
       }
     }
   }
