@@ -68,7 +68,13 @@ double Rng::gamma(double shape, double scale) noexcept {
 Rng Rng::split(std::size_t stream_index) const noexcept {
   Rng child = *this;
   child.has_spare_normal_ = false;
-  for (std::size_t i = 0; i <= stream_index; ++i) child.engine_.jump();
+  if (stream_index == SIZE_MAX) {
+    // stream_index + 1 would wrap to 0: take the last jump separately.
+    child.engine_.jump(stream_index);
+    child.engine_.jump();
+  } else {
+    child.engine_.jump(stream_index + 1);
+  }
   return child;
 }
 

@@ -65,8 +65,10 @@ class Rng {
     }
   }
 
-  /// A statistically independent child stream: jumps a copy of the engine
-  /// `stream_index + 1` times (each jump is 2^128 steps).
+  /// A statistically independent child stream: a copy of the engine
+  /// advanced by the equivalent of `stream_index + 1` jumps (each jump is
+  /// 2^128 steps), in O(popcount) work. Defined for every index,
+  /// SIZE_MAX included.
   Rng split(std::size_t stream_index) const noexcept;
 
  private:

@@ -25,13 +25,20 @@ class Xoshiro256ss {
   static constexpr std::uint64_t min() noexcept { return 0; }
   static constexpr std::uint64_t max() noexcept { return ~0ULL; }
 
-  /// Equivalent to 2^128 calls to next(); used to derive statistically
-  /// independent streams for worker threads.
+  /// Equivalent to 2^128 calls to next(): applies the published jump
+  /// polynomial (256 steps of next()).
   void jump() noexcept;
+
+  /// Equivalent to `count` calls to jump(), bit for bit, in
+  /// O(popcount(count)) work: for each set bit k it applies the checked-in
+  /// polynomial of 2^k jumps. Rng::split derives its streams through this.
+  void jump(std::uint64_t count) noexcept;
 
   const std::array<std::uint64_t, 4>& state() const noexcept { return s_; }
 
  private:
+  void apply(const std::array<std::uint64_t, 4>& poly) noexcept;
+
   std::array<std::uint64_t, 4> s_{};
 };
 

@@ -5,12 +5,23 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
 namespace {
 
 using hcsched::rng::Rng;
+using hcsched::rng::Xoshiro256ss;
+
+// The first 64 draws of `stream` must be those of `oracle` (taken by copy).
+void expect_same_draws(Rng stream, Xoshiro256ss oracle, const char* what,
+                       std::uint64_t index) {
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_EQ(stream.next_u64(), oracle.next())
+        << what << " " << index << ", draw " << i;
+  }
+}
 
 TEST(Rng, Uniform01InHalfOpenUnitInterval) {
   Rng rng(1);
@@ -169,6 +180,42 @@ TEST(Rng, SplitStreamsAreIndependentAndDeterministic) {
     if (x == b.next_u64()) ++collisions;
   }
   EXPECT_EQ(collisions, 0);
+}
+
+TEST(Rng, SplitMatchesSequentialJumps) {
+  // Oracle: the former split, `for (i = 0; i <= k; ++i) engine.jump()`,
+  // built incrementally with one jump per index.
+  Xoshiro256ss oracle(13);
+  for (std::uint64_t k = 0; k <= 1100; ++k) {
+    oracle.jump();
+    expect_same_draws(Rng(13).split(k), oracle, "split", k);
+  }
+}
+
+TEST(Rng, SplitOfSplitStreamMatchesSequentialJumps) {
+  // The study's shape: Rng(seed).split(trial).split(heuristic).
+  for (std::uint64_t trial : {0ULL, 1ULL, 7ULL, 999ULL}) {
+    const Rng trial_rng = Rng(20070326).split(trial);
+    Xoshiro256ss oracle(20070326);
+    for (std::uint64_t i = 0; i <= trial; ++i) oracle.jump();
+    for (std::uint64_t h = 0; h < 16; ++h) {
+      oracle.jump();
+      expect_same_draws(trial_rng.split(h), oracle, "split of trial", trial);
+    }
+  }
+}
+
+TEST(Rng, SplitOfSizeMaxIsDefined) {
+  // SIZE_MAX + 1 = 2^64 jumps, taken as jump(SIZE_MAX) then jump(), and
+  // equally as two jumps of 2^63.
+  Xoshiro256ss composed(5);
+  composed.jump(SIZE_MAX);
+  composed.jump();
+  Xoshiro256ss halves(5);
+  halves.jump(1ULL << 63);
+  halves.jump(1ULL << 63);
+  ASSERT_EQ(composed.state(), halves.state());
+  expect_same_draws(Rng(5).split(SIZE_MAX), composed, "split", SIZE_MAX);
 }
 
 TEST(Rng, ReproducibleFromSeed) {

@@ -76,6 +76,87 @@ TEST(Xoshiro256ss, JumpIsDeterministic) {
   EXPECT_EQ(a.next(), b.next());
 }
 
+// Replaces ref's state by poly(T)(state), T being one step: the reference
+// jump loop of xoshiro256starstar.c, generalised to any jump polynomial.
+void apply(Reference& ref, const std::array<std::uint64_t, 4>& poly) {
+  std::array<std::uint64_t, 4> acc{};
+  for (std::uint64_t word : poly) {
+    for (int bit = 0; bit < 64; ++bit) {
+      if (word & (1ULL << bit)) {
+        for (std::size_t i = 0; i < 4; ++i) acc[i] ^= ref.s[i];
+      }
+      ref.next();
+    }
+  }
+  ref.s = acc;
+}
+
+// jump(n) against n sequential jump() calls for every n in [0, n_max]; the
+// oracle advances by one naive jump per step.
+void expect_jump_count_matches_repeated_jump(std::uint64_t seed,
+                                             std::uint64_t n_max) {
+  Xoshiro256ss oracle(seed);
+  for (std::uint64_t n = 0; n <= n_max; ++n) {
+    Xoshiro256ss fast(seed);
+    fast.jump(n);
+    ASSERT_EQ(fast.state(), oracle.state()) << "seed " << seed << ", n " << n;
+    oracle.jump();
+  }
+}
+
+TEST(Xoshiro256ss, JumpAppliesPublishedJumpPolynomial) {
+  // JUMP from Blackman & Vigna's xoshiro256starstar.c. Two different
+  // polynomials agree on a random state with probability at most 1/2, so
+  // 64 states pin level 0 of the jump table to it.
+  constexpr std::array<std::uint64_t, 4> kPublished = {
+      0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL, 0xa9582618e03fc9aaULL,
+      0x39abdc4529b1661cULL};
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    Xoshiro256ss engine(seed);
+    engine.jump();
+    Reference ref(seed);
+    apply(ref, kPublished);
+    ASSERT_EQ(engine.state(), ref.s) << "seed " << seed;
+  }
+}
+
+TEST(Xoshiro256ss, JumpTableLevelIsPreviousLevelSquared) {
+  // jump(2^k) applied twice must equal jump(2^(k+1)), for every level of
+  // the 64-level table behind jump(count); with level 0 pinned above this
+  // pins the table and its indexing by induction, on 64 states as above.
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    for (int k = 0; k < 63; ++k) {
+      Xoshiro256ss twice(seed);
+      twice.jump(1ULL << k);
+      twice.jump(1ULL << k);
+      Xoshiro256ss once(seed);
+      once.jump(1ULL << (k + 1));
+      ASSERT_EQ(twice.state(), once.state()) << "level " << k << ", seed "
+                                             << seed;
+    }
+  }
+}
+
+TEST(Xoshiro256ss, JumpCountEqualsRepeatedJump) {
+  for (std::uint64_t seed : {1ULL, 42ULL, 0xdeadbeefULL}) {
+    expect_jump_count_matches_repeated_jump(seed, 2100);
+  }
+}
+
+TEST(Xoshiro256ss, JumpCountEqualsRepeatedJumpPastTwoToTheTwenty) {
+  constexpr std::uint64_t kCount = (1ULL << 20) + 12345;
+  Xoshiro256ss naive(77);
+  for (std::uint64_t i = 0; i < kCount; ++i) naive.jump();
+  Xoshiro256ss fast(77);
+  fast.jump(kCount);
+  EXPECT_EQ(fast.state(), naive.state());
+}
+
+// `stress` label (tests/CMakeLists.txt): every count below 2^14.
+TEST(XoshiroJumpStress, JumpCountEqualsRepeatedJumpBelowTwoToTheFourteen) {
+  expect_jump_count_matches_repeated_jump(20070326, (1ULL << 14) - 1);
+}
+
 TEST(Xoshiro256ss, BitsLookUniform) {
   // Each of the 64 bit positions should be set roughly half the time.
   Xoshiro256ss engine(2024);
