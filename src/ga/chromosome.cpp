@@ -34,17 +34,6 @@ Chromosome Chromosome::from_schedule(const Problem& problem,
   return Chromosome(std::move(genes));
 }
 
-double Chromosome::evaluate(const Problem& problem) const {
-  if (genes_.size() != problem.num_tasks()) {
-    throw std::invalid_argument("Chromosome::evaluate: gene count mismatch");
-  }
-  std::vector<double> ready = problem.initial_ready_times();
-  for (std::size_t i = 0; i < genes_.size(); ++i) {
-    ready[genes_[i]] += problem.etc_at(problem.tasks()[i], genes_[i]);
-  }
-  return ready.empty() ? 0.0 : *std::max_element(ready.begin(), ready.end());
-}
-
 Schedule Chromosome::decode(const Problem& problem) const {
   if (genes_.size() != problem.num_tasks()) {
     throw std::invalid_argument("Chromosome::decode: gene count mismatch");
@@ -54,6 +43,33 @@ Schedule Chromosome::decode(const Problem& problem) const {
     s.assign(problem.tasks()[i], problem.machines()[genes_[i]]);
   }
   return s;
+}
+
+Evaluator::Evaluator(const Problem& problem)
+    : problem_(problem), machines_(problem.num_machines()) {
+  etc_.reserve(problem.num_tasks() * machines_);
+  for (const auto task : problem.tasks()) {
+    for (std::size_t s = 0; s < machines_; ++s) {
+      etc_.push_back(problem.etc_at(task, s));
+    }
+  }
+}
+
+const std::vector<double>& Evaluator::loads(
+    std::span<const std::uint32_t> genes) {
+  if (genes.size() != problem_.num_tasks()) {
+    throw std::invalid_argument("Evaluator: gene count mismatch");
+  }
+  ready_ = problem_.initial_ready_times();
+  for (std::size_t i = 0; i < genes.size(); ++i) {
+    ready_[genes[i]] += etc_[i * machines_ + genes[i]];
+  }
+  return ready_;
+}
+
+double Evaluator::makespan(std::span<const std::uint32_t> genes) {
+  const std::vector<double>& ready = loads(genes);
+  return ready.empty() ? 0.0 : *std::max_element(ready.begin(), ready.end());
 }
 
 }  // namespace hcsched::ga

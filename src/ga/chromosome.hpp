@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "rng/rng.hpp"
@@ -33,9 +34,6 @@ class Chromosome {
   std::vector<std::uint32_t>& genes() noexcept { return genes_; }
   std::size_t size() const noexcept { return genes_.size(); }
 
-  /// Makespan of the encoded mapping (no Schedule materialization).
-  double evaluate(const Problem& problem) const;
-
   /// Materializes the mapping as a Schedule (tasks assigned in list order).
   Schedule decode(const Problem& problem) const;
 
@@ -43,6 +41,32 @@ class Chromosome {
 
  private:
   std::vector<std::uint32_t> genes_{};
+};
+
+/// The load fold of every mapping search, over a problem's ETC cells gathered
+/// once into a T×M array. A slot's load is its initial ready time plus its
+/// tasks' ETCs added in task order, as in the decoded Schedule, bit for bit.
+class Evaluator {
+ public:
+  /// `problem` must outlive the Evaluator.
+  explicit Evaluator(const Problem& problem);
+
+  /// problem.etc_at(problem.tasks()[i], slot).
+  double etc(std::size_t i, std::size_t slot) const noexcept {
+    return etc_[i * machines_ + slot];
+  }
+
+  /// Load of every slot under `genes`, in a buffer reused by the next call.
+  const std::vector<double>& loads(std::span<const std::uint32_t> genes);
+
+  /// Makespan of `genes`: the largest of loads(genes).
+  double makespan(std::span<const std::uint32_t> genes);
+
+ private:
+  const Problem& problem_;
+  std::size_t machines_;
+  std::vector<double> etc_;
+  std::vector<double> ready_;
 };
 
 }  // namespace hcsched::ga

@@ -1,10 +1,11 @@
 #include "ga/genitor.hpp"
 
+#include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 #include "core/cancel.hpp"
 #include "ga/operators.hpp"
-#include "ga/population.hpp"
 #include "heuristics/minmin.hpp"
 #include "obs/counters.hpp"
 
@@ -13,6 +14,9 @@ namespace hcsched::ga {
 Genitor::Genitor(GenitorConfig config) : config_(config) {
   if (config_.population_size < 2) {
     throw std::invalid_argument("Genitor: population_size must be >= 2");
+  }
+  if (!(config_.selection_bias >= 1.0 && config_.selection_bias <= 2.0)) {
+    throw std::invalid_argument("Genitor: selection_bias must be in [1, 2]");
   }
 }
 
@@ -28,30 +32,55 @@ Schedule Genitor::do_map_seeded(const Problem& problem,
     throw std::invalid_argument("Genitor: no machines");
   }
   rng::Rng rng(config_.seed);
+  Evaluator evaluator(problem);
+  const std::size_t tasks = problem.num_tasks();
+  const std::size_t machines = problem.num_machines();
+  const std::size_t capacity = config_.population_size;
 
-  Population population(config_.population_size, config_.selection_bias);
+  // Gene pool: row r holds genes [r*T, (r+1)*T). Rows are the members' plus
+  // the two offspring written before either is inserted; rows outside the
+  // ranking are free, and claim_row copies genes (possibly none) into one.
+  std::vector<std::uint32_t> pool((capacity + 2) * tasks);
+  std::vector<std::uint32_t> free_rows(capacity + 2);
+  std::iota(free_rows.rbegin(), free_rows.rend(), 0U);
+  const auto row = [&](std::uint32_t r) {
+    return std::span<std::uint32_t>(pool).subspan(r * tasks, tasks);
+  };
+  const auto claim_row = [&](std::span<const std::uint32_t> genes) {
+    const std::uint32_t r = free_rows.back();
+    free_rows.pop_back();
+    std::copy(genes.begin(), genes.end(), row(r).begin());
+    return r;
+  };
+  Ranking ranking;
+  ranking.reserve(capacity);
+  const auto insert = [&](std::uint32_t r) {
+    rank_insert(ranking, capacity, evaluator.makespan(row(r)), r, free_rows);
+  };
+  const auto select = [&] {
+    return row(ranking[select_rank(ranking.size(), config_.selection_bias,
+                                   rng)].row);
+  };
+
   if (seed != nullptr) {
-    Chromosome c = Chromosome::from_schedule(problem, *seed);
-    const double fit = c.evaluate(problem);
-    population.insert(Member{std::move(c), fit});
+    insert(claim_row(Chromosome::from_schedule(problem, *seed).genes()));
   }
   if (config_.seed_with_minmin) {
     heuristics::MinMin minmin;
     rng::TieBreaker det;  // deterministic ties for the seed mapping
-    Chromosome c = Chromosome::from_schedule(problem, minmin.map(problem, det));
-    const double fit = c.evaluate(problem);
-    population.insert(Member{std::move(c), fit});
+    insert(claim_row(
+        Chromosome::from_schedule(problem, minmin.map(problem, det)).genes()));
   }
-  while (population.size() < config_.population_size) {
-    Chromosome c = Chromosome::random(problem, rng);
-    const double fit = c.evaluate(problem);
-    population.insert(Member{std::move(c), fit});
+  while (ranking.size() < capacity) {
+    const std::uint32_t r = claim_row({});
+    for (auto& g : row(r)) g = static_cast<std::uint32_t>(rng.below(machines));
+    insert(r);
   }
 
   last_run_ = RunStats{};
-  last_run_.initial_best = population.best().makespan;
+  last_run_.initial_best = ranking.front().makespan;
 
-  double best = population.best().makespan;
+  double best = ranking.front().makespan;
   std::size_t stale = 0;
   for (std::size_t step = 0; step < config_.total_steps; ++step) {
     // Anytime contract: a cancelled budget stops evolution within one
@@ -59,25 +88,23 @@ Schedule Genitor::do_map_seeded(const Problem& problem,
     if (core::cancellation_requested()) break;
     ++last_run_.steps_executed;
     HCSCHED_COUNT(obs::Counter::kGaSteps);
-    // Crossover trial (Figure 1, step 3a).
+    // Crossover trial (Figure 1, step 3a). Both offspring are written before
+    // either is inserted: the first insert may evict a parent's row.
     HCSCHED_COUNT(obs::Counter::kGaCrossovers);
-    const Member& pa = population.at(population.select_rank(rng));
-    const Member& pb = population.at(population.select_rank(rng));
-    auto [oa, ob] = crossover(pa.chromosome, pb.chromosome, rng);
-    const double fa = oa.evaluate(problem);
-    const double fb = ob.evaluate(problem);
-    population.insert(Member{std::move(oa), fa});
-    population.insert(Member{std::move(ob), fb});
+    const std::uint32_t oa = claim_row(select());
+    const std::uint32_t ob = claim_row(select());
+    crossover(row(oa), row(ob), rng);
+    insert(oa);
+    insert(ob);
 
     // Mutation trial (Figure 1, step 3b).
     HCSCHED_COUNT(obs::Counter::kGaMutations);
-    Chromosome mutant = population.at(population.select_rank(rng)).chromosome;
-    mutate(mutant, problem.num_machines(), rng);
-    const double fm = mutant.evaluate(problem);
-    population.insert(Member{std::move(mutant), fm});
+    const std::uint32_t mutant = claim_row(select());
+    mutate(row(mutant), machines, rng);
+    insert(mutant);
 
-    if (population.best().makespan < best) {
-      best = population.best().makespan;
+    if (ranking.front().makespan < best) {
+      best = ranking.front().makespan;
       ++last_run_.improvements;
       stale = 0;
     } else if (config_.stop_after_stale != 0 &&
@@ -85,10 +112,12 @@ Schedule Genitor::do_map_seeded(const Problem& problem,
       break;
     }
   }
-  last_run_.final_best = population.best().makespan;
+  last_run_.final_best = ranking.front().makespan;
 
   (void)ties;  // Genitor's stochastic decisions come from its own stream.
-  return population.best().chromosome.decode(problem);
+  const auto genes = row(ranking.front().row);
+  return Chromosome(std::vector<std::uint32_t>(genes.begin(), genes.end()))
+      .decode(problem);
 }
 
 }  // namespace hcsched::ga

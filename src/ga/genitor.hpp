@@ -7,13 +7,17 @@
 // elitist: the best member can only ever be replaced by a better one, so the
 // returned mapping's makespan never exceeds any seed's.
 //
+// A step allocates nothing: chromosomes are rows of one flat gene pool, the
+// population is a Ranking of them, and one Evaluator computes makespans. The
+// RNG draw order is a contract (docs/ALGORITHMS.md, Genitor).
+//
 // In the iterative technique, `map_seeded` injects the previous iteration's
 // mapping (restricted to the surviving machines) into the initial
 // population — the paper's §3.1 argument that iterative Genitor either
 // improves or keeps the mapping rests exactly on this seeding plus elitism.
 #pragma once
 
-#include "ga/population.hpp"
+#include "ga/chromosome.hpp"
 #include "heuristics/heuristic.hpp"
 
 namespace hcsched::ga {
@@ -25,6 +29,7 @@ struct GenitorConfig {
   /// Stop early after this many consecutive steps without improving the
   /// best makespan (0 disables early stopping).
   std::size_t stop_after_stale = 0;
+  /// Linear-rank selection pressure in [1, 2] (see ga::select_rank).
   double selection_bias = 1.5;
   /// Base RNG seed; map() derives its stream from this, so a Genitor
   /// instance is reproducible run-to-run.

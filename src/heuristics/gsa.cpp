@@ -15,7 +15,7 @@ Gsa::Gsa(GsaConfig config) : config_(config) {
   if (config_.population_size < 2) {
     throw std::invalid_argument("GSA: population_size must be >= 2");
   }
-  if (config_.cooling <= 0.0 || config_.cooling >= 1.0) {
+  if (!(config_.cooling > 0.0 && config_.cooling < 1.0)) {
     throw std::invalid_argument("GSA: cooling must be in (0, 1)");
   }
 }
@@ -38,8 +38,9 @@ Schedule Gsa::do_map_seeded(const Problem& problem, TieBreaker& ties,
   };
   std::vector<Member> population;
   population.reserve(config_.population_size);
+  ga::Evaluator evaluator(problem);
   auto add = [&](ga::Chromosome c) {
-    const double span = c.evaluate(problem);
+    const double span = evaluator.makespan(c.genes());
     population.push_back(Member{std::move(c), span});
   };
   if (seed != nullptr) add(ga::Chromosome::from_schedule(problem, *seed));
@@ -72,11 +73,12 @@ Schedule Gsa::do_map_seeded(const Problem& problem, TieBreaker& ties,
         rng.below(population.size()));
     const std::size_t pb = static_cast<std::size_t>(
         rng.below(population.size()));
-    auto [oa, ob] = ga::crossover(population[pa].chromosome,
-                                  population[pb].chromosome, rng);
+    ga::Chromosome oa = population[pa].chromosome;
+    ga::Chromosome ob = population[pb].chromosome;
+    ga::crossover(oa.genes(), ob.genes(), rng);
     ga::Chromosome offspring = rng.chance(0.5) ? std::move(oa) : std::move(ob);
-    ga::mutate(offspring, problem.num_machines(), rng);
-    const double span = offspring.evaluate(problem);
+    ga::mutate(offspring.genes(), problem.num_machines(), rng);
+    const double span = evaluator.makespan(offspring.genes());
 
     // SA acceptance against a random non-elite incumbent.
     std::size_t victim = static_cast<std::size_t>(

@@ -22,25 +22,15 @@ double span_with(const std::vector<double>& load, std::size_t a, double new_a,
   return span;
 }
 
-std::vector<double> loads_of(const Problem& problem,
-                             const ga::Chromosome& chromosome) {
-  std::vector<double> load = problem.initial_ready_times();
-  for (std::size_t i = 0; i < chromosome.size(); ++i) {
-    load[chromosome.genes()[i]] +=
-        problem.etc_at(problem.tasks()[i], chromosome.genes()[i]);
-  }
-  return load;
-}
-
 /// One descent pass over the move+swap neighborhood in canonical order
 /// (all moves by (task, target), then all swaps by (task, task)).
 /// Steepest: remember the best improving neighbor and apply it at the end.
 /// First improvement: apply the first improving neighbor immediately.
 /// Returns false when the pass found no improvement (local minimum).
-bool descent_pass(const Problem& problem, ga::Chromosome& chromosome,
+bool descent_pass(const ga::Evaluator& evaluator, ga::Chromosome& chromosome,
                   std::vector<double>& load, double& makespan,
                   bool first_improvement) {
-  const std::size_t machines = problem.num_machines();
+  const std::size_t machines = load.size();
   const std::size_t n = chromosome.size();
   double best_span = makespan;
   bool is_swap = false;
@@ -49,10 +39,9 @@ bool descent_pass(const Problem& problem, ga::Chromosome& chromosome,
   bool found = false;
 
   const auto apply_move = [&](std::size_t i, std::size_t to) {
-    const auto task = problem.tasks()[i];
     const std::size_t from = chromosome.genes()[i];
-    load[from] -= problem.etc_at(task, from);
-    load[to] += problem.etc_at(task, to);
+    load[from] -= evaluator.etc(i, from);
+    load[to] += evaluator.etc(i, to);
     chromosome.genes()[i] = static_cast<std::uint32_t>(to);
   };
   const auto apply_swap = [&](std::size_t i, std::size_t j) {
@@ -63,14 +52,12 @@ bool descent_pass(const Problem& problem, ga::Chromosome& chromosome,
   };
 
   for (std::size_t i = 0; i < n; ++i) {
-    const auto task = problem.tasks()[i];
     const std::size_t from = chromosome.genes()[i];
-    const double etc_from = problem.etc_at(task, from);
+    const double etc_from = evaluator.etc(i, from);
     for (std::size_t to = 0; to < machines; ++to) {
       if (to == from) continue;
-      const double span =
-          span_with(load, from, load[from] - etc_from, to,
-                    load[to] + problem.etc_at(task, to));
+      const double span = span_with(load, from, load[from] - etc_from, to,
+                                    load[to] + evaluator.etc(i, to));
       if (span < best_span - 1e-12) {
         if (first_improvement) {
           apply_move(i, to);
@@ -87,14 +74,12 @@ bool descent_pass(const Problem& problem, ga::Chromosome& chromosome,
   }
   for (std::size_t i = 0; i + 1 < n; ++i) {
     const std::size_t a = chromosome.genes()[i];
-    const double etc_ia = problem.etc_at(problem.tasks()[i], a);
+    const double etc_ia = evaluator.etc(i, a);
     for (std::size_t j = i + 1; j < n; ++j) {
       const std::size_t b = chromosome.genes()[j];
       if (a == b) continue;  // same machine: swapping changes nothing
-      const double new_a =
-          load[a] - etc_ia + problem.etc_at(problem.tasks()[j], a);
-      const double new_b = load[b] - problem.etc_at(problem.tasks()[j], b) +
-                           problem.etc_at(problem.tasks()[i], b);
+      const double new_a = load[a] - etc_ia + evaluator.etc(j, a);
+      const double new_b = load[b] - evaluator.etc(j, b) + evaluator.etc(i, b);
       const double span = span_with(load, a, new_a, b, new_b);
       if (span < best_span - 1e-12) {
         if (first_improvement) {
@@ -122,11 +107,11 @@ bool descent_pass(const Problem& problem, ga::Chromosome& chromosome,
 
 /// Descend to a local minimum; polls cancellation between passes so the
 /// anytime contract holds. Returns the number of neighbors applied.
-std::size_t descend(const Problem& problem, ga::Chromosome& chromosome,
+std::size_t descend(const ga::Evaluator& evaluator, ga::Chromosome& chromosome,
                     std::vector<double>& load, double& makespan,
                     bool first_improvement) {
   std::size_t steps = 0;
-  while (descent_pass(problem, chromosome, load, makespan,
+  while (descent_pass(evaluator, chromosome, load, makespan,
                       first_improvement)) {
     ++steps;
     if (core::cancellation_requested()) break;
@@ -161,10 +146,11 @@ Schedule LocalSearch::do_map_seeded(const Problem& problem, TieBreaker& ties,
 
   const std::size_t n = current.size();
   const std::size_t machines = problem.num_machines();
-  std::vector<double> load = loads_of(problem, current);
-  double span = current.evaluate(problem);
+  ga::Evaluator evaluator(problem);
+  std::vector<double> load = evaluator.loads(current.genes());
+  double span = *std::max_element(load.begin(), load.end());
   std::size_t steps =
-      descend(problem, current, load, span, config_.first_improvement);
+      descend(evaluator, current, load, span, config_.first_improvement);
 
   ga::Chromosome best = current;
   double best_span = span;
@@ -184,9 +170,9 @@ Schedule LocalSearch::do_map_seeded(const Problem& problem, TieBreaker& ties,
             static_cast<std::uint32_t>(rng.below(machines));
       }
       ++restarts;
-      load = loads_of(problem, current);
-      span = current.evaluate(problem);
-      steps += descend(problem, current, load, span,
+      load = evaluator.loads(current.genes());
+      span = *std::max_element(load.begin(), load.end());
+      steps += descend(evaluator, current, load, span,
                        config_.first_improvement);
       if (span < best_span - 1e-12) {
         best = current;

@@ -11,7 +11,7 @@
 namespace hcsched::heuristics {
 
 SimulatedAnnealing::SimulatedAnnealing(SaConfig config) : config_(config) {
-  if (config_.cooling <= 0.0 || config_.cooling >= 1.0) {
+  if (!(config_.cooling > 0.0 && config_.cooling < 1.0)) {
     throw std::invalid_argument("SA: cooling must be in (0, 1)");
   }
 }
@@ -38,7 +38,8 @@ Schedule SimulatedAnnealing::do_map_seeded(const Problem& problem,
     }
     return ga::Chromosome::random(problem, rng);
   }();
-  double current_span = current.evaluate(problem);
+  ga::Evaluator evaluator(problem);
+  double current_span = evaluator.makespan(current.genes());
 
   ga::Chromosome best = current;
   double best_span = current_span;
@@ -52,8 +53,8 @@ Schedule SimulatedAnnealing::do_map_seeded(const Problem& problem,
     // `best` is always a complete, valid mapping.
     if (core::cancellation_requested()) break;
     ga::Chromosome candidate = current;
-    ga::mutate(candidate, problem.num_machines(), rng);
-    const double span = candidate.evaluate(problem);
+    ga::mutate(candidate.genes(), problem.num_machines(), rng);
+    const double span = evaluator.makespan(candidate.genes());
     const double delta = span - current_span;
     if (delta <= 0.0 ||
         rng.uniform01() < std::exp(-delta / temperature)) {

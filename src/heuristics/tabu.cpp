@@ -14,9 +14,9 @@ namespace {
 /// Evaluates moves incrementally: moving task i from slot a to slot b only
 /// changes those two machines' loads, so each move is O(1) given the
 /// per-slot load vector.
-bool best_short_hop(const Problem& problem, ga::Chromosome& chromosome,
+bool best_short_hop(const ga::Evaluator& evaluator, ga::Chromosome& chromosome,
                     std::vector<double>& load, double& makespan) {
-  const std::size_t machines = problem.num_machines();
+  const std::size_t machines = load.size();
   double best_span = makespan;
   std::size_t best_task = 0;
   std::size_t best_slot = 0;
@@ -24,10 +24,10 @@ bool best_short_hop(const Problem& problem, ga::Chromosome& chromosome,
 
   for (std::size_t i = 0; i < chromosome.size(); ++i) {
     const std::size_t from = chromosome.genes()[i];
-    const double etc_from = problem.etc_at(problem.tasks()[i], from);
+    const double etc_from = evaluator.etc(i, from);
     for (std::size_t to = 0; to < machines; ++to) {
       if (to == from) continue;
-      const double etc_to = problem.etc_at(problem.tasks()[i], to);
+      const double etc_to = evaluator.etc(i, to);
       const double new_from = load[from] - etc_from;
       const double new_to = load[to] + etc_to;
       // New makespan: max over unchanged machines and the two moved ones.
@@ -45,22 +45,11 @@ bool best_short_hop(const Problem& problem, ga::Chromosome& chromosome,
   }
   if (!found) return false;
   const std::size_t from = chromosome.genes()[best_task];
-  const auto task = problem.tasks()[best_task];
-  load[from] -= problem.etc_at(task, from);
-  load[best_slot] += problem.etc_at(task, best_slot);
+  load[from] -= evaluator.etc(best_task, from);
+  load[best_slot] += evaluator.etc(best_task, best_slot);
   chromosome.genes()[best_task] = static_cast<std::uint32_t>(best_slot);
   makespan = best_span;
   return true;
-}
-
-std::vector<double> loads_of(const Problem& problem,
-                             const ga::Chromosome& chromosome) {
-  std::vector<double> load = problem.initial_ready_times();
-  for (std::size_t i = 0; i < chromosome.size(); ++i) {
-    load[chromosome.genes()[i]] +=
-        problem.etc_at(problem.tasks()[i], chromosome.genes()[i]);
-  }
-  return load;
 }
 
 }  // namespace
@@ -100,9 +89,10 @@ Schedule TabuSearch::do_map_seeded(const Problem& problem, TieBreaker& ties,
     return ga::Chromosome::random(problem, rng);
   }();
 
+  ga::Evaluator evaluator(problem);
   std::vector<ga::Chromosome> tabu;
   ga::Chromosome best = current;
-  double best_span = current.evaluate(problem);
+  double best_span = evaluator.makespan(current.genes());
 
   const std::size_t min_distance = std::max<std::size_t>(1, current.size() / 2);
   for (std::size_t hop = 0; hop <= config_.max_long_hops; ++hop) {
@@ -110,9 +100,9 @@ Schedule TabuSearch::do_map_seeded(const Problem& problem, TieBreaker& ties,
     // once a budget is cancelled; `best` stays a complete mapping.
     if (core::cancellation_requested()) break;
     // Short-hop descent to a local minimum.
-    std::vector<double> load = loads_of(problem, current);
-    double span = current.evaluate(problem);
-    while (best_short_hop(problem, current, load, span)) {
+    std::vector<double> load = evaluator.loads(current.genes());
+    double span = *std::max_element(load.begin(), load.end());
+    while (best_short_hop(evaluator, current, load, span)) {
       if (core::cancellation_requested()) break;
     }
     if (span < best_span) {

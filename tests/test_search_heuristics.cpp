@@ -2,6 +2,8 @@
 // Min-Min (Wu & Shu, cited as [18] in the paper).
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "etc/cvb_generator.hpp"
 #include "heuristics/gsa.hpp"
 #include "heuristics/minmin.hpp"
@@ -56,7 +58,8 @@ TEST(SimulatedAnnealing, ImprovesARandomStart) {
   // A random mapping on 6 machines averages far above the balanced level;
   // SA must land well below the all-on-one-machine scale.
   Rng rng(123);
-  const double random_span = Chromosome::random(p, rng).evaluate(p);
+  const double random_span =
+      hcsched::ga::Evaluator(p).makespan(Chromosome::random(p, rng).genes());
   EXPECT_LT(span, random_span);
 }
 
@@ -66,6 +69,10 @@ TEST(SimulatedAnnealing, RejectsBadCooling) {
   EXPECT_THROW(hcsched::heuristics::SimulatedAnnealing{cfg},
                std::invalid_argument);
   cfg.cooling = 0.0;
+  EXPECT_THROW(hcsched::heuristics::SimulatedAnnealing{cfg},
+               std::invalid_argument);
+  // NaN fails closed instead of silently running zero steps.
+  cfg.cooling = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(hcsched::heuristics::SimulatedAnnealing{cfg},
                std::invalid_argument);
 }
@@ -88,6 +95,8 @@ TEST(Gsa, RejectsBadConfig) {
   EXPECT_THROW(hcsched::heuristics::Gsa{cfg}, std::invalid_argument);
   cfg.population_size = 10;
   cfg.cooling = 1.5;
+  EXPECT_THROW(hcsched::heuristics::Gsa{cfg}, std::invalid_argument);
+  cfg.cooling = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(hcsched::heuristics::Gsa{cfg}, std::invalid_argument);
 }
 
