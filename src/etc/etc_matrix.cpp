@@ -1,32 +1,65 @@
 #include "etc/etc_matrix.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <utility>
 
 namespace hcsched::etc {
 
+namespace {
+
+template <typename Rows>
+EtcMatrix flatten(const Rows& rows) {
+  const std::size_t machines = rows.size() == 0 ? 0 : rows.begin()->size();
+  std::vector<double> values;
+  values.reserve(rows.size() * machines);
+  for (const auto& r : rows) {
+    if (r.size() != machines) {
+      throw std::invalid_argument("EtcMatrix::from_rows: ragged rows");
+    }
+    values.insert(values.end(), r.begin(), r.end());
+  }
+  return EtcMatrix::from_values(rows.size(), machines, std::move(values));
+}
+
+}  // namespace
+
+EtcMatrix EtcMatrix::from_values(std::size_t num_tasks,
+                                 std::size_t num_machines,
+                                 std::vector<double> values) {
+  if ((num_machines != 0 &&
+       num_tasks > std::numeric_limits<std::size_t>::max() / num_machines) ||
+      values.size() != num_tasks * num_machines) {
+    throw std::invalid_argument(
+        "EtcMatrix::from_values: " + std::to_string(values.size()) +
+        " values for a " + std::to_string(num_tasks) + "x" +
+        std::to_string(num_machines) + " matrix");
+  }
+  const auto bad = std::find_if(values.begin(), values.end(), [](double v) {
+    return !std::isfinite(v) || v < 0.0;
+  });
+  if (bad != values.end()) {
+    const auto cell = static_cast<std::size_t>(bad - values.begin());
+    throw std::invalid_argument(
+        "EtcMatrix: row " + std::to_string(cell / num_machines) +
+        ", column " + std::to_string(cell % num_machines) +
+        ": not a finite non-negative time");
+  }
+  EtcMatrix m;
+  m.tasks_ = num_tasks;
+  m.machines_ = num_machines;
+  m.values_ = std::move(values);
+  return m;
+}
+
 EtcMatrix EtcMatrix::from_rows(
     std::initializer_list<std::initializer_list<double>> rows) {
-  std::vector<std::vector<double>> copy;
-  copy.reserve(rows.size());
-  for (const auto& r : rows) copy.emplace_back(r);
-  return from_rows(copy);
+  return flatten(rows);
 }
 
 EtcMatrix EtcMatrix::from_rows(const std::vector<std::vector<double>>& rows) {
-  EtcMatrix m;
-  m.tasks_ = rows.size();
-  m.machines_ = rows.empty() ? 0 : rows.front().size();
-  m.values_.reserve(m.tasks_ * m.machines_);
-  for (const auto& r : rows) {
-    if (r.size() != m.machines_) {
-      throw std::invalid_argument("EtcMatrix::from_rows: ragged rows");
-    }
-    m.values_.insert(m.values_.end(), r.begin(), r.end());
-  }
-  HCSCHED_INVARIANT(m.values_.size() == m.tasks_ * m.machines_,
-                    "dense storage holds ", m.values_.size(), " cells for a ",
-                    m.tasks_, "x", m.machines_, " matrix");
-  return m;
+  return flatten(rows);
 }
 
 double EtcMatrix::total() const noexcept {

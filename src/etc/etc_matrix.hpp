@@ -33,7 +33,15 @@ class EtcMatrix {
         machines_(num_machines),
         values_(num_tasks * num_machines, 0.0) {}
 
-  /// Construction from row data; every row must have the same length.
+  /// The one validated construction path: a tasks x machines matrix over
+  /// row-major `values`. Throws std::invalid_argument when the size does not
+  /// match, or naming the row and column of the first cell that is not a
+  /// finite, non-negative time.
+  static EtcMatrix from_values(std::size_t num_tasks, std::size_t num_machines,
+                               std::vector<double> values);
+
+  /// Construction from row data through from_values; every row must have
+  /// the same length.
   static EtcMatrix from_rows(
       std::initializer_list<std::initializer_list<double>> rows);
   static EtcMatrix from_rows(const std::vector<std::vector<double>>& rows);

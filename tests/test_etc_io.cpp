@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <iomanip>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -103,6 +109,87 @@ TEST(EtcIo, UntrustedInputFailsClosed) {
   }
   EXPECT_EQ(from_csv("2,2\r\n1, 2\r\n 3 ,4\r\n"),
             EtcMatrix::from_rows({{1, 2}, {3, 4}}));
+}
+
+TEST(EtcIo, SubnormalCellsRoundTrip) {
+  const EtcMatrix m = EtcMatrix::from_rows(
+      {{std::numeric_limits<double>::denorm_min(),
+        std::nextafter(DBL_MIN, 0.0)},
+       {DBL_MIN, 1e-310}});
+  const std::string csv = to_csv(m);
+  EXPECT_NE(csv.find("4.9406564584124654e-324"), std::string::npos) << csv;
+  EXPECT_NE(csv.find("2.2250738585072009e-308"), std::string::npos) << csv;
+  EXPECT_EQ(from_csv(csv), m);
+}
+
+// The cell grammar: optional blanks, a decimal std::from_chars number,
+// optional blanks. One case per rule, each pinned to its message.
+TEST(EtcIo, CellGrammar) {
+  struct Case {
+    const char* cell;
+    const char* error;
+  };
+  const Case rejected[] = {
+      {"+1", "not a number"},
+      {"0x1p3", "trailing characters"},
+      {"1e", "trailing characters"},
+      {"inf", "not a finite non-negative time"},
+      {"nan", "not a finite non-negative time"},
+      {"infinity", "not a finite non-negative time"},
+  };
+  for (const Case& c : rejected) {
+    SCOPED_TRACE(c.cell);
+    try {
+      from_csv(std::string("1,1\n") + c.cell + "\n");
+      ADD_FAILURE() << "accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(c.error), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("'") + c.cell + "'"), std::string::npos)
+          << what;
+    }
+  }
+  EXPECT_EQ(from_csv("1,1\n 3 \n"), EtcMatrix::from_rows({{3}}));
+  const EtcMatrix negative_zero = from_csv("1,1\n-0\n");
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(negative_zero.at(0, 0)),
+            std::bit_cast<std::uint64_t>(-0.0));
+  EXPECT_EQ(to_csv(negative_zero), "1,1\n-0\n");
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                from_csv(to_csv(negative_zero)).at(0, 0)),
+            std::bit_cast<std::uint64_t>(-0.0));
+}
+
+/// The writer before std::to_chars: an ostream at setprecision(17).
+std::string stream_csv(const EtcMatrix& m) {
+  std::ostringstream os;
+  os << m.num_tasks() << ',' << m.num_machines() << '\n';
+  os << std::setprecision(std::numeric_limits<double>::max_digits10);
+  for (std::size_t t = 0; t < m.num_tasks(); ++t) {
+    const auto row = m.row(static_cast<hcsched::etc::TaskId>(t));
+    for (std::size_t j = 0; j < row.size(); ++j) {
+      if (j != 0) os << ',';
+      os << row[j];
+    }
+    os << '\n';
+  }
+  return os.str();
+}
+
+TEST(EtcIo, WriterBytesMatchSetprecision17Stream) {
+  const EtcMatrix edges = EtcMatrix::from_rows(
+      {{0, 0.1, 0.1 + 0.2, 1e21, 123456789012345678.0, 5e-324, DBL_MAX}});
+  EXPECT_EQ(to_csv(edges), stream_csv(edges));
+  hcsched::rng::Rng rng(17);
+  for (const double v : {0.1, 0.35, 0.6}) {
+    hcsched::etc::CvbEtcGenerator gen(hcsched::etc::CvbParams{
+        .num_tasks = 40, .num_machines = 7, .v_task = v, .v_machine = v});
+    const EtcMatrix m = gen.generate(rng);
+    const std::string bytes = stream_csv(m);
+    EXPECT_EQ(to_csv(m), bytes);
+    std::ostringstream written;
+    hcsched::etc::write_csv(written, m);
+    EXPECT_EQ(written.str(), bytes);
+  }
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace {
 
@@ -35,6 +38,30 @@ TEST(EtcMatrix, FromRowsAndAt) {
 
 TEST(EtcMatrix, FromRowsRejectsRagged) {
   EXPECT_THROW(EtcMatrix::from_rows({{1, 2}, {3}}), std::invalid_argument);
+}
+
+TEST(EtcMatrix, FromRowsRejectsNonFiniteOrNegative) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf, -0.5}) {
+    SCOPED_TRACE(bad);
+    try {
+      (void)EtcMatrix::from_rows({{1, 2}, {3, bad}});
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("row 1, column 1"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(
+        (void)EtcMatrix::from_rows(std::vector<std::vector<double>>{{bad}}),
+        std::invalid_argument);
+  }
+  EXPECT_EQ(EtcMatrix::from_rows({{-0.0}}).at(0, 0), 0.0);
+  EXPECT_THROW((void)EtcMatrix::from_values(2, 2, {1, 2, 3}),
+               std::invalid_argument);
+  EXPECT_EQ(EtcMatrix::from_values(1, 2, {1, 2}),
+            EtcMatrix::from_rows({{1, 2}}));
 }
 
 TEST(EtcMatrix, MutableAccess) {
