@@ -6,7 +6,7 @@
 // buffer. Cells are stored with the machine slot as the minor (contiguous)
 // dimension — row(p) is task p's completion-cost row across the problem's
 // machine slots — because every rescore walks exactly that row, and the
-// vectorized min-scan (minscan.hpp) wants unit stride. Values are verbatim
+// min-scan (minscan.hpp) walks it at unit stride. Values are verbatim
 // copies of the matrix doubles, so arithmetic on a view row is bit-identical
 // to arithmetic through Problem::etc_at.
 //

@@ -1,49 +1,63 @@
-// Lane implementations behind minscan.hpp. See the header for the
-// bit-identity argument; the scalar loops below are the semantics, the
-// vector bodies are the same reduction in a different association order.
+// The row reductions behind minscan.hpp: one portable body each.
 #include "heuristics/fastpath/minscan.hpp"
 
 #include <algorithm>
 #include <limits>
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define HCSCHED_MINSCAN_AVX2 1
-#include <immintrin.h>
-#elif defined(__aarch64__)
-#define HCSCHED_MINSCAN_NEON 1
-#include <arm_neon.h>
-#endif
-
 namespace hcsched::heuristics::fastpath::minscan {
 
 namespace {
 
-double min_completion_scalar(const double* ready, const double* etc,
-                             std::size_t n) noexcept {
-  double best = ready[0] + etc[0];
-  for (std::size_t i = 1; i < n; ++i) best = std::min(best, ready[i] + etc[i]);
+// Folds pick over at(0) .. at(n - 1) in four independent accumulators: lane
+// j takes the indices i = j (mod 4), the lanes combine at the end and a
+// scalar tail covers n mod 4. The four chains overlap in the pipeline where
+// one running fold would wait on every compare. IEEE min and max over
+// non-NaN values are associative, commutative and idempotent, so the order,
+// and seeding every lane with at(0), change no result beyond the sign of a
+// zero.
+template <typename At, typename Pick>
+double fold4(std::size_t n, At at, Pick pick) noexcept {
+  double a0 = at(0);
+  double a1 = a0;
+  double a2 = a0;
+  double a3 = a0;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    a0 = pick(a0, at(i));
+    a1 = pick(a1, at(i + 1));
+    a2 = pick(a2, at(i + 2));
+    a3 = pick(a3, at(i + 3));
+  }
+  double best = pick(pick(a0, a1), pick(a2, a3));
+  for (; i < n; ++i) best = pick(best, at(i));
   return best;
 }
 
-double min_value_scalar(const double* v, std::size_t n) noexcept {
-  double best = v[0];
-  for (std::size_t i = 1; i < n; ++i) best = std::min(best, v[i]);
-  return best;
+constexpr auto kMin = [](double a, double b) { return std::min(a, b); };
+constexpr auto kMax = [](double a, double b) { return std::max(a, b); };
+
+}  // namespace
+
+double min_completion(const double* ready, const double* etc,
+                      std::size_t n) noexcept {
+  return fold4(n, [=](std::size_t i) { return ready[i] + etc[i]; }, kMin);
 }
 
-double max_value_scalar(const double* v, std::size_t n) noexcept {
-  double best = v[0];
-  for (std::size_t i = 1; i < n; ++i) best = std::max(best, v[i]);
-  return best;
+double min_value(const double* v, std::size_t n) noexcept {
+  return fold4(n, [=](std::size_t i) { return v[i]; }, kMin);
+}
+
+double max_value(const double* v, std::size_t n) noexcept {
+  return fold4(n, [=](std::size_t i) { return v[i]; }, kMax);
 }
 
 // The classic strict-< best-two fold. `second` carries multiplicity (a
 // duplicated minimum makes second == best) and `sslot` always differs from
 // `bslot`: the first branch moves the old best slot into sslot before bslot
 // advances, the second branch stores an index the first branch rejected.
-SufferageScan sufferage_scan_scalar(const double* ready, const double* etc,
-                                    std::size_t n, double eps,
-                                    std::size_t* tied) noexcept {
+SufferageScan sufferage_scan(const double* ready, const double* etc,
+                             std::size_t n, double eps,
+                             std::size_t* tied) noexcept {
   double best = ready[0] + etc[0];
   double second = std::numeric_limits<double>::infinity();
   std::size_t bslot = 0;
@@ -75,280 +89,6 @@ SufferageScan sufferage_scan_scalar(const double* ready, const double* etc,
   return SufferageScan{best, n == 1 ? best : second, bslot, sslot, tcount};
 }
 
-#if defined(HCSCHED_MINSCAN_AVX2)
-
-bool have_avx2() noexcept {
-  static const bool supported = __builtin_cpu_supports("avx2") != 0;
-  return supported;
-}
-
-__attribute__((target("avx2"))) double min_completion_avx2(
-    const double* ready, const double* etc, std::size_t n) noexcept {
-  __m256d acc = _mm256_add_pd(_mm256_loadu_pd(ready), _mm256_loadu_pd(etc));
-  std::size_t i = 4;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d ct =
-        _mm256_add_pd(_mm256_loadu_pd(ready + i), _mm256_loadu_pd(etc + i));
-    acc = _mm256_min_pd(acc, ct);
-  }
-  const __m128d pair =
-      _mm_min_pd(_mm256_castpd256_pd128(acc), _mm256_extractf128_pd(acc, 1));
-  double best = _mm_cvtsd_f64(_mm_min_sd(pair, _mm_unpackhi_pd(pair, pair)));
-  for (; i < n; ++i) best = std::min(best, ready[i] + etc[i]);
-  return best;
-}
-
-__attribute__((target("avx2"))) double min_value_avx2(
-    const double* v, std::size_t n) noexcept {
-  __m256d acc = _mm256_loadu_pd(v);
-  std::size_t i = 4;
-  for (; i + 4 <= n; i += 4) acc = _mm256_min_pd(acc, _mm256_loadu_pd(v + i));
-  const __m128d pair =
-      _mm_min_pd(_mm256_castpd256_pd128(acc), _mm256_extractf128_pd(acc, 1));
-  double best = _mm_cvtsd_f64(_mm_min_sd(pair, _mm_unpackhi_pd(pair, pair)));
-  for (; i < n; ++i) best = std::min(best, v[i]);
-  return best;
-}
-
-__attribute__((target("avx2"))) double max_value_avx2(
-    const double* v, std::size_t n) noexcept {
-  __m256d acc = _mm256_loadu_pd(v);
-  std::size_t i = 4;
-  for (; i + 4 <= n; i += 4) acc = _mm256_max_pd(acc, _mm256_loadu_pd(v + i));
-  const __m128d pair =
-      _mm_max_pd(_mm256_castpd256_pd128(acc), _mm256_extractf128_pd(acc, 1));
-  double best = _mm_cvtsd_f64(_mm_max_sd(pair, _mm_unpackhi_pd(pair, pair)));
-  for (; i < n; ++i) best = std::max(best, v[i]);
-  return best;
-}
-
-// Lane-parallel best-two: each lane runs the scalar strict-< fold on its
-// strided sub-sequence (indices carried as exact small doubles), then a
-// scalar merge recovers the global answers. The merge is exact:
-//  * min1 is an IEEE min-reduction in a different association order;
-//  * the global first attaining slot lives in the lane whose tracked index
-//    is smallest among lanes attaining min1 (a lane's tracked index is its
-//    own first attaining slot, and lane indices are congruence classes, so
-//    the smallest candidate is the global first);
-//  * min over slots != min1_slot decomposes per lane as "lane second if the
-//    lane's min slot IS min1_slot, else lane min" — dropping exactly one
-//    occurrence of the minimum at min1_slot, multiplicity preserved.
-// Only requirement on the returned min2_slot is that it attains min2 and
-// differs from min1_slot, which every merge candidate does by construction.
-__attribute__((target("avx2"))) SufferageScan sufferage_scan_avx2(
-    const double* ready, const double* etc, std::size_t n, double eps,
-    std::size_t* tied) noexcept {
-  // Two independent accumulator sets (8 lanes total, stride 8) so the
-  // cmp -> blend dependency chains of consecutive iterations overlap.
-  const double inf = std::numeric_limits<double>::infinity();
-  __m256d vmin_a = _mm256_set1_pd(inf), vmin_b = _mm256_set1_pd(inf);
-  __m256d vsec_a = _mm256_set1_pd(inf), vsec_b = _mm256_set1_pd(inf);
-  __m256d vminidx_a = _mm256_setzero_pd(), vminidx_b = _mm256_setzero_pd();
-  __m256d vsecidx_a = _mm256_setzero_pd(), vsecidx_b = _mm256_setzero_pd();
-  __m256d vidx_a = _mm256_set_pd(3.0, 2.0, 1.0, 0.0);
-  __m256d vidx_b = _mm256_set_pd(7.0, 6.0, 5.0, 4.0);
-  const __m256d vstep = _mm256_set1_pd(8.0);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256d xa =
-        _mm256_add_pd(_mm256_loadu_pd(ready + i), _mm256_loadu_pd(etc + i));
-    const __m256d xb = _mm256_add_pd(_mm256_loadu_pd(ready + i + 4),
-                                     _mm256_loadu_pd(etc + i + 4));
-    const __m256d lt_a = _mm256_cmp_pd(xa, vmin_a, _CMP_LT_OQ);
-    const __m256d lt_b = _mm256_cmp_pd(xb, vmin_b, _CMP_LT_OQ);
-    // Candidate for the lane's second: the loser of the min comparison.
-    const __m256d cand_a = _mm256_blendv_pd(xa, vmin_a, lt_a);
-    const __m256d cand_b = _mm256_blendv_pd(xb, vmin_b, lt_b);
-    const __m256d candidx_a = _mm256_blendv_pd(vidx_a, vminidx_a, lt_a);
-    const __m256d candidx_b = _mm256_blendv_pd(vidx_b, vminidx_b, lt_b);
-    const __m256d ltsec_a = _mm256_cmp_pd(cand_a, vsec_a, _CMP_LT_OQ);
-    const __m256d ltsec_b = _mm256_cmp_pd(cand_b, vsec_b, _CMP_LT_OQ);
-    vsec_a = _mm256_blendv_pd(vsec_a, cand_a, ltsec_a);
-    vsec_b = _mm256_blendv_pd(vsec_b, cand_b, ltsec_b);
-    vsecidx_a = _mm256_blendv_pd(vsecidx_a, candidx_a, ltsec_a);
-    vsecidx_b = _mm256_blendv_pd(vsecidx_b, candidx_b, ltsec_b);
-    vmin_a = _mm256_blendv_pd(vmin_a, xa, lt_a);
-    vmin_b = _mm256_blendv_pd(vmin_b, xb, lt_b);
-    vminidx_a = _mm256_blendv_pd(vminidx_a, vidx_a, lt_a);
-    vminidx_b = _mm256_blendv_pd(vminidx_b, vidx_b, lt_b);
-    vidx_a = _mm256_add_pd(vidx_a, vstep);
-    vidx_b = _mm256_add_pd(vidx_b, vstep);
-  }
-  const std::size_t vec_end = i;
-  double lane_min[8];
-  double lane_min_idx[8];
-  double lane_sec[8];
-  double lane_sec_idx[8];
-  _mm256_storeu_pd(lane_min, vmin_a);
-  _mm256_storeu_pd(lane_min + 4, vmin_b);
-  _mm256_storeu_pd(lane_min_idx, vminidx_a);
-  _mm256_storeu_pd(lane_min_idx + 4, vminidx_b);
-  _mm256_storeu_pd(lane_sec, vsec_a);
-  _mm256_storeu_pd(lane_sec + 4, vsec_b);
-  _mm256_storeu_pd(lane_sec_idx, vsecidx_a);
-  _mm256_storeu_pd(lane_sec_idx + 4, vsecidx_b);
-
-  double min1 = lane_min[0];
-  for (int j = 1; j < 8; ++j) min1 = std::min(min1, lane_min[j]);
-  for (std::size_t s = vec_end; s < n; ++s) {
-    min1 = std::min(min1, ready[s] + etc[s]);
-  }
-  std::size_t min1_slot = n;
-  for (int j = 0; j < 8; ++j) {
-    if (lane_min[j] == min1) {
-      min1_slot = std::min(min1_slot, static_cast<std::size_t>(lane_min_idx[j]));
-    }
-  }
-  if (min1_slot == n) {  // the minimum lives in the scalar tail only
-    for (std::size_t s = vec_end; s < n; ++s) {
-      if (ready[s] + etc[s] == min1) {
-        min1_slot = s;
-        break;
-      }
-    }
-  }
-  // A lane whose single element is min1_slot contributes its +inf second —
-  // exactly the min over the (empty) rest of that lane.
-  double min2 = inf;
-  std::size_t min2_slot = 0;
-  for (int j = 0; j < 8; ++j) {
-    const bool holds = static_cast<std::size_t>(lane_min_idx[j]) == min1_slot &&
-                       lane_min[j] == min1;
-    const double cv = holds ? lane_sec[j] : lane_min[j];
-    const std::size_t ci = holds ? static_cast<std::size_t>(lane_sec_idx[j])
-                                 : static_cast<std::size_t>(lane_min_idx[j]);
-    if (cv < min2) {
-      min2 = cv;
-      min2_slot = ci;
-    }
-  }
-  for (std::size_t s = vec_end; s < n; ++s) {
-    if (s == min1_slot) continue;
-    const double x = ready[s] + etc[s];
-    if (x < min2) {
-      min2 = x;
-      min2_slot = s;
-    }
-  }
-
-  // Epsilon-tied collection, ascending. (x - min1) <= eps is the TieBreaker
-  // predicate verbatim for scores at or above the exact minimum (see the
-  // header); _CMP_LE_OQ matches scalar <= on these finite values. Same gap
-  // shortcut as the scalar body: a beyond-epsilon second best proves the
-  // minimum slot is the only candidate, skipping the pass entirely.
-  std::size_t tcount = 0;
-  if (min2 - min1 > eps) {
-    tied[tcount++] = min1_slot;
-  } else {
-    const __m256d vbest = _mm256_set1_pd(min1);
-    const __m256d veps = _mm256_set1_pd(eps);
-    for (i = 0; i + 4 <= n; i += 4) {
-      const __m256d x =
-          _mm256_add_pd(_mm256_loadu_pd(ready + i), _mm256_loadu_pd(etc + i));
-      const __m256d d = _mm256_sub_pd(x, vbest);
-      const int mask = _mm256_movemask_pd(_mm256_cmp_pd(d, veps, _CMP_LE_OQ));
-      if (mask == 0) continue;
-      for (int b = 0; b < 4; ++b) {
-        if (((mask >> b) & 1) != 0) {
-          tied[tcount++] = i + static_cast<std::size_t>(b);
-        }
-      }
-    }
-    for (; i < n; ++i) {
-      if (ready[i] + etc[i] - min1 <= eps) tied[tcount++] = i;
-    }
-  }
-  return SufferageScan{min1, min2, min1_slot, min2_slot, tcount};
-}
-
-#elif defined(HCSCHED_MINSCAN_NEON)
-
-double min_completion_neon(const double* ready, const double* etc,
-                           std::size_t n) noexcept {
-  float64x2_t acc = vaddq_f64(vld1q_f64(ready), vld1q_f64(etc));
-  std::size_t i = 2;
-  for (; i + 2 <= n; i += 2) {
-    acc = vminq_f64(acc, vaddq_f64(vld1q_f64(ready + i), vld1q_f64(etc + i)));
-  }
-  double best = vminvq_f64(acc);
-  for (; i < n; ++i) best = std::min(best, ready[i] + etc[i]);
-  return best;
-}
-
-double min_value_neon(const double* v, std::size_t n) noexcept {
-  float64x2_t acc = vld1q_f64(v);
-  std::size_t i = 2;
-  for (; i + 2 <= n; i += 2) acc = vminq_f64(acc, vld1q_f64(v + i));
-  double best = vminvq_f64(acc);
-  for (; i < n; ++i) best = std::min(best, v[i]);
-  return best;
-}
-
-double max_value_neon(const double* v, std::size_t n) noexcept {
-  float64x2_t acc = vld1q_f64(v);
-  std::size_t i = 2;
-  for (; i + 2 <= n; i += 2) acc = vmaxq_f64(acc, vld1q_f64(v + i));
-  double best = vmaxvq_f64(acc);
-  for (; i < n; ++i) best = std::max(best, v[i]);
-  return best;
-}
-
-#endif
-
-// Below this length the lane setup costs more than the scalar loop saves.
-constexpr std::size_t kVectorThreshold = 8;
-
-}  // namespace
-
-double min_completion(const double* ready, const double* etc,
-                      std::size_t n) noexcept {
-#if defined(HCSCHED_MINSCAN_AVX2)
-  if (n >= kVectorThreshold && have_avx2()) {
-    return min_completion_avx2(ready, etc, n);
-  }
-#elif defined(HCSCHED_MINSCAN_NEON)
-  if (n >= kVectorThreshold) return min_completion_neon(ready, etc, n);
-#endif
-  return min_completion_scalar(ready, etc, n);
-}
-
-double min_value(const double* v, std::size_t n) noexcept {
-#if defined(HCSCHED_MINSCAN_AVX2)
-  if (n >= kVectorThreshold && have_avx2()) return min_value_avx2(v, n);
-#elif defined(HCSCHED_MINSCAN_NEON)
-  if (n >= kVectorThreshold) return min_value_neon(v, n);
-#endif
-  return min_value_scalar(v, n);
-}
-
-double max_value(const double* v, std::size_t n) noexcept {
-#if defined(HCSCHED_MINSCAN_AVX2)
-  if (n >= kVectorThreshold && have_avx2()) return max_value_avx2(v, n);
-#elif defined(HCSCHED_MINSCAN_NEON)
-  if (n >= kVectorThreshold) return max_value_neon(v, n);
-#endif
-  return max_value_scalar(v, n);
-}
-
-SufferageScan sufferage_scan(const double* ready, const double* etc,
-                             std::size_t n, double eps,
-                             std::size_t* tied) noexcept {
-#if defined(HCSCHED_MINSCAN_AVX2)
-  if (n >= kVectorThreshold && have_avx2()) {
-    return sufferage_scan_avx2(ready, etc, n, eps, tied);
-  }
-#endif
-  return sufferage_scan_scalar(ready, etc, n, eps, tied);
-}
-
-const char* active_lanes() noexcept {
-#if defined(HCSCHED_MINSCAN_AVX2)
-  return have_avx2() ? "avx2" : "scalar";
-#elif defined(HCSCHED_MINSCAN_NEON)
-  return "neon";
-#else
-  return "scalar";
-#endif
-}
+const char* active_lanes() noexcept { return "scalar"; }
 
 }  // namespace hcsched::heuristics::fastpath::minscan

@@ -1,21 +1,15 @@
-// Portable vectorized min/max scan primitives for the fastpath kernels.
+// Min/max scan primitives for the fastpath kernels.
 //
 // Every kernel inner loop is one of three reductions over contiguous
 // doubles: min of ready[i] + etc[i] (a fused completion-time scan), or a
-// plain min / max over one array. IEEE min and max are associative and
-// commutative for non-NaN inputs and the lane-wise additions are the exact
-// same operations in any order, so any reduction tree returns the same
-// value as the reference's sequential std::min fold — the vector paths are
-// bit-identical, not merely close (all ETC cells are finite and positive;
-// docs/FASTPATH.md states the argument, tests/test_fastpath_differential.cpp
-// enforces it on exact doubles).
-//
-// Dispatch: AVX2 on x86-64 via function multiversioning with a cached
-// __builtin_cpu_supports probe (no -mavx2 flag leaks into other TUs, and
-// non-AVX2 hosts fall through safely); NEON is baseline on aarch64; every
-// other target uses the scalar fallback. The fused best-two scan below has
-// AVX2 and scalar bodies only — NEON hosts take the scalar path there while
-// keeping the plain reductions in lanes.
+// plain min / max over one array. Each has one portable body that folds in
+// four independent accumulators (minscan.cpp). IEEE min and max are
+// associative and commutative for non-NaN inputs, so that order returns a
+// value equal to the reference's sequential std::min fold (only the sign of
+// a zero result may differ, which no kernel comparison can see). All ETC
+// cells are finite and non-negative; docs/FASTPATH.md states the argument,
+// tests/test_minscan.cpp and tests/test_fastpath_differential.cpp enforce
+// it.
 #pragma once
 
 #include <cstddef>
@@ -58,8 +52,7 @@ SufferageScan sufferage_scan(const double* ready, const double* etc,
                              std::size_t n, double eps,
                              std::size_t* tied) noexcept;
 
-/// Which lane implementation min_completion/min_value dispatch to on this
-/// host — "avx2", "neon" or "scalar". For spans/logs, not for correctness.
+/// Names the scan implementation for result fingerprints: always "scalar".
 const char* active_lanes() noexcept;
 
 }  // namespace hcsched::heuristics::fastpath::minscan

@@ -19,7 +19,7 @@
 // claim/evict makes this invalidation total in practice: every task that
 // survives a pass fought over a slot that ends up committed, so surviving
 // entries are rescanned. The kernel's win over the reference is therefore
-// the scan itself — one fused vectorized best-two/tied scan
+// the scan itself — one fused best-two/tied scan
 // (minscan::sufferage_scan) over a contiguous EtcView row, against the
 // reference's four indirection-heavy passes — not replay frequency; the
 // cache keeps the replay path correct should the requeue semantics ever
@@ -109,7 +109,7 @@ Schedule sufferage_fast(const Problem& problem, TieBreaker& ties,
 #if HCSCHED_TRACE
         ++rescores;
 #endif
-        // One fused vectorized pass: exact minimum with its first attaining
+        // One fused pass: exact minimum with its first attaining
         // slot, minimum over the rest with one attaining slot, and the
         // ascending epsilon-tied candidate list. The scan's tie predicate is
         // bit-identical to ties.tied(min1, score) — see minscan.hpp.

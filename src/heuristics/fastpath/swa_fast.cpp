@@ -5,7 +5,7 @@
 // every task to form the balance index. One mapping moves exactly one ready
 // time, and never downward, so the kernel maintains both bounds
 // incrementally: the maximum absorbs each new finish time directly, and the
-// minimum is rescanned (vectorized, minscan.hpp) only when the loaded slot
+// minimum is rescanned (minscan.hpp) only when the loaded slot
 // was holding it. MET rounds score tasks straight off the contiguous
 // EtcView row — zero-copy, since the row is a verbatim cell copy and
 // choose_min only reads — while MCT rounds fill one reused score buffer

@@ -33,8 +33,8 @@
 //
 // Per-task state lives in structure-of-arrays slices from the thread
 // workspace's bump pools (workspace.hpp): zero steady-state allocations
-// across a study cell's trials, and the rescore is a vectorized fused
-// min-scan (minscan.hpp) over a contiguous EtcView row.
+// across a study cell's trials, and the rescore is a fused min-scan
+// (minscan.hpp) over a contiguous EtcView row.
 #include <algorithm>
 #include <array>
 #include <bit>

@@ -22,7 +22,6 @@
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <exception>
 #include <iostream>
 #include <limits>
@@ -35,6 +34,7 @@
 
 #include "etc/etc_io.hpp"
 #include "rng/rng.hpp"
+#include "seed_count.hpp"
 
 namespace {
 
@@ -200,12 +200,14 @@ int main(int argc, char** argv) {
   std::uint64_t seeds = 256;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    if (arg == "--seeds" && i + 1 < argc) {
-      seeds = std::strtoull(argv[++i], nullptr, 10);
-    } else {
+    const auto count = arg == "--seeds" && i + 1 < argc
+                           ? hcsched::testing::parse_seed_count(argv[++i])
+                           : std::nullopt;
+    if (!count) {
       std::cerr << "usage: csv_fuzz [--seeds N]\n";
       return 2;
     }
+    seeds = *count;
   }
 
   std::size_t inputs = 0;

@@ -9,19 +9,15 @@
 // enumerates EVERY table row under every tie policy, plus subset cases and
 // whole-minimizer iterative cases, so registering a new kernel widens the
 // fuzz matrix without touching this file. CI runs a bounded smoke sweep on
-// every push (ctest: fastpath_fuzz_smoke) and a wide sweep nightly by
-// raising HCSCHED_FUZZ_SEEDS; a divergence prints a one-line repro that
-// plugs straight back into the unit suite.
+// every push (ctest: fastpath_fuzz_smoke) and a wide sweep nightly through
+// --seeds; the sweep is deterministic and a divergence prints the full
+// case, which plugs straight back into the unit suite.
 //
-// Usage: fastpath_fuzz [--seeds N] [--base B] [--verbose]
-//   --seeds N   number of seeds to sweep (default 256; cases per seed =
-//               3 x kernel_table().size() + 4)
-//   --base B    first seed of the range (default 1)
-//   --verbose   print every case, not just failures
-// Environment (flags win): HCSCHED_FUZZ_SEEDS, HCSCHED_FUZZ_SEED_BASE.
+// Usage: fastpath_fuzz [--seeds N]
+//   --seeds N   number of seeds to sweep, 1..N (default 256; cases per
+//               seed = 3 x kernel_table().size() + 4)
 // Exit code: 0 when every case is equivalent, 1 on divergence, 2 on usage.
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <string_view>
@@ -30,6 +26,7 @@
 #include "etc/consistency.hpp"
 #include "rng/rng.hpp"
 #include "rng/tie_break.hpp"
+#include "seed_count.hpp"
 
 namespace {
 
@@ -102,35 +99,25 @@ fastpath::DifferentialCase derive_case(std::uint64_t seed,
   return c;
 }
 
-std::uint64_t env_or(const char* name, std::uint64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return std::strtoull(value, nullptr, 10);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::uint64_t seeds = env_or("HCSCHED_FUZZ_SEEDS", 256);
-  std::uint64_t base = env_or("HCSCHED_FUZZ_SEED_BASE", 1);
-  bool verbose = false;
+  std::uint64_t seeds = 256;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    if (arg == "--seeds" && i + 1 < argc) {
-      seeds = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--base" && i + 1 < argc) {
-      base = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--verbose") {
-      verbose = true;
-    } else {
-      std::cerr << "usage: fastpath_fuzz [--seeds N] [--base B] [--verbose]\n";
+    const auto count = arg == "--seeds" && i + 1 < argc
+                           ? hcsched::testing::parse_seed_count(argv[++i])
+                           : std::nullopt;
+    if (!count) {
+      std::cerr << "usage: fastpath_fuzz [--seeds N]\n";
       return 2;
     }
+    seeds = *count;
   }
 
   std::size_t cases = 0;
   std::size_t divergences = 0;
-  for (std::uint64_t seed = base; seed < base + seeds; ++seed) {
+  for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
     for (std::size_t variation = 0; variation < cases_per_seed();
          ++variation) {
       const fastpath::DifferentialCase c = derive_case(seed, variation);
@@ -141,14 +128,11 @@ int main(int argc, char** argv) {
         ++divergences;
         std::cout << "DIVERGENCE " << fastpath::describe(c) << ": "
                   << outcome.divergence << "\n";
-      } else if (verbose) {
-        std::cout << "ok " << fastpath::describe(c) << "\n";
       }
     }
   }
   std::cout << "fastpath_fuzz: " << cases << " cases over " << seeds
-            << " seeds [" << base << ", " << (base + seeds) << "), "
-            << divergences << " divergence"
+            << " seeds, " << divergences << " divergence"
             << (divergences == 1 ? "" : "s") << "\n";
   return divergences == 0 ? 0 : 1;
 }

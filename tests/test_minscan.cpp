@@ -1,0 +1,228 @@
+// Direct tests of the fastpath row reductions (minscan.hpp) against naive
+// references: a sequential std::min / std::max fold for the plain scans and
+// a two-pass scan for the Sufferage best-two. Every length from 1 to 70 is
+// covered, so each of the four accumulator lanes and every tail length
+// n mod 4 holds the extreme value at some point.
+//
+// covers: minscan.cpp
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstddef>
+#include <limits>
+#include <vector>
+
+#include "heuristics/fastpath/minscan.hpp"
+#include "rng/rng.hpp"
+
+namespace {
+
+namespace minscan = hcsched::heuristics::fastpath::minscan;
+using hcsched::rng::Rng;
+
+constexpr std::size_t kMaxLen = 70;
+
+std::vector<double> random_row(Rng& rng, std::size_t n) {
+  std::vector<double> row(n);
+  for (double& v : row) v = rng.uniform(1.0, 100.0);
+  return row;
+}
+
+double seq_min_completion(const std::vector<double>& ready,
+                          const std::vector<double>& etc) {
+  double best = ready[0] + etc[0];
+  for (std::size_t i = 1; i < ready.size(); ++i) {
+    best = std::min(best, ready[i] + etc[i]);
+  }
+  return best;
+}
+
+double seq_min(const std::vector<double>& v) {
+  double best = v[0];
+  for (std::size_t i = 1; i < v.size(); ++i) best = std::min(best, v[i]);
+  return best;
+}
+
+double seq_max(const std::vector<double>& v) {
+  double best = v[0];
+  for (std::size_t i = 1; i < v.size(); ++i) best = std::max(best, v[i]);
+  return best;
+}
+
+void expect_plain_scans_match(const std::vector<double>& ready,
+                              const std::vector<double>& etc) {
+  const std::size_t n = ready.size();
+  EXPECT_EQ(minscan::min_completion(ready.data(), etc.data(), n),
+            seq_min_completion(ready, etc))
+      << "n=" << n;
+  EXPECT_EQ(minscan::min_value(ready.data(), n), seq_min(ready)) << "n=" << n;
+  EXPECT_EQ(minscan::max_value(ready.data(), n), seq_max(ready)) << "n=" << n;
+  EXPECT_EQ(minscan::min_value(etc.data(), n), seq_min(etc)) << "n=" << n;
+  EXPECT_EQ(minscan::max_value(etc.data(), n), seq_max(etc)) << "n=" << n;
+}
+
+TEST(Minscan, PlainScansMatchSequentialFoldOnRandomRows) {
+  Rng rng(18);
+  for (std::size_t n = 1; n <= kMaxLen; ++n) {
+    for (int rep = 0; rep < 8; ++rep) {
+      expect_plain_scans_match(random_row(rng, n), random_row(rng, n));
+    }
+  }
+}
+
+TEST(Minscan, PlainScansMatchSequentialFoldOnAllEqualRows) {
+  for (std::size_t n = 1; n <= kMaxLen; ++n) {
+    expect_plain_scans_match(std::vector<double>(n, 2.5),
+                             std::vector<double>(n, 4.0));
+  }
+}
+
+// The extreme value sits at every position in turn: each of the four lanes
+// and every slot of the scalar tail.
+TEST(Minscan, PlainScansFindTheExtremeInEveryLaneAndTheTail) {
+  Rng rng(7);
+  for (std::size_t n = 1; n <= kMaxLen; ++n) {
+    for (std::size_t at = 0; at < n; ++at) {
+      std::vector<double> ready = random_row(rng, n);
+      std::vector<double> etc = random_row(rng, n);
+      std::vector<double> v = random_row(rng, n);
+      etc[at] = 0.25;  // ready + etc >= 1 elsewhere
+      ready[at] = 0.5;
+      v[at] = 1000.0;  // a maximum at the same slot
+      const double low = minscan::min_completion(ready.data(), etc.data(), n);
+      EXPECT_EQ(low, 0.75) << "n=" << n << " at=" << at;
+      EXPECT_EQ(minscan::min_value(ready.data(), n), 0.5)
+          << "n=" << n << " at=" << at;
+      EXPECT_EQ(minscan::max_value(v.data(), n), 1000.0)
+          << "n=" << n << " at=" << at;
+      expect_plain_scans_match(ready, etc);
+    }
+  }
+}
+
+/// Two-pass reference for sufferage_scan: the minimum and its first slot,
+/// then the minimum over every other slot, then the ascending tied list.
+struct NaiveScan {
+  double min1 = 0.0;
+  double min2 = 0.0;
+  std::size_t min1_slot = 0;
+  std::vector<std::size_t> tied{};
+};
+
+NaiveScan naive_scan(const std::vector<double>& x, double eps) {
+  NaiveScan out;
+  out.min1 = x[0];
+  for (std::size_t i = 1; i < x.size(); ++i) {
+    if (x[i] < out.min1) {
+      out.min1 = x[i];
+      out.min1_slot = i;
+    }
+  }
+  out.min2 = x.size() == 1 ? out.min1
+                           : std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (i != out.min1_slot) out.min2 = std::min(out.min2, x[i]);
+  }
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (x[i] - out.min1 <= eps) out.tied.push_back(i);
+  }
+  return out;
+}
+
+void expect_sufferage_matches(const std::vector<double>& ready,
+                              const std::vector<double>& etc, double eps) {
+  const std::size_t n = ready.size();
+  std::vector<double> x(n);
+  for (std::size_t i = 0; i < n; ++i) x[i] = ready[i] + etc[i];
+  const NaiveScan want = naive_scan(x, eps);
+  std::vector<std::size_t> tied(n, n);
+  const minscan::SufferageScan got =
+      minscan::sufferage_scan(ready.data(), etc.data(), n, eps, tied.data());
+  EXPECT_EQ(got.min1, want.min1) << "n=" << n;
+  EXPECT_EQ(got.min1_slot, want.min1_slot) << "n=" << n;
+  EXPECT_EQ(got.min2, want.min2) << "n=" << n;
+  if (n > 1) {
+    EXPECT_NE(got.min2_slot, got.min1_slot) << "n=" << n;
+    ASSERT_LT(got.min2_slot, n);
+    EXPECT_EQ(x[got.min2_slot], want.min2) << "n=" << n;
+  }
+  tied.resize(got.tied_count);
+  EXPECT_EQ(tied, want.tied) << "n=" << n << " eps=" << eps;
+}
+
+TEST(Minscan, SufferageScanMatchesTwoPassReferenceOnRandomRows) {
+  Rng rng(2007);
+  for (std::size_t n = 1; n <= kMaxLen; ++n) {
+    for (int rep = 0; rep < 8; ++rep) {
+      const auto ready = random_row(rng, n);
+      const auto etc = random_row(rng, n);
+      expect_sufferage_matches(ready, etc, 0.0);
+      expect_sufferage_matches(ready, etc, 1e-9);
+    }
+  }
+}
+
+// A duplicated minimum: min2 must equal min1 (multiplicity counts), with a
+// witness slot other than the first attaining one.
+TEST(Minscan, SufferageScanDuplicatedMinimumGivesEqualSecond) {
+  Rng rng(11);
+  for (std::size_t n = 2; n <= kMaxLen; ++n) {
+    for (std::size_t first = 0; first + 1 < n; ++first) {
+      const std::size_t dup = first + 1 + rng.below(n - first - 1);
+      std::vector<double> ready = random_row(rng, n);
+      std::vector<double> etc(n, 0.0);
+      ready[first] = 0.5;
+      ready[dup] = 0.5;
+      std::vector<std::size_t> tied(n);
+      const minscan::SufferageScan got = minscan::sufferage_scan(
+          ready.data(), etc.data(), n, 0.0, tied.data());
+      EXPECT_EQ(got.min1, 0.5);
+      EXPECT_EQ(got.min2, got.min1) << "n=" << n;
+      EXPECT_EQ(got.min1_slot, first) << "n=" << n;
+      EXPECT_EQ(got.min2_slot, dup) << "n=" << n;
+      expect_sufferage_matches(ready, etc, 0.0);
+    }
+  }
+}
+
+// Integer rows manufacture exact ties everywhere; the witness slot of a
+// distinct second best must differ from the minimum's and attain min2.
+TEST(Minscan, SufferageScanMatchesReferenceOnIntegerRows) {
+  Rng rng(5);
+  for (std::size_t n = 1; n <= kMaxLen; ++n) {
+    for (int rep = 0; rep < 8; ++rep) {
+      std::vector<double> ready(n);
+      std::vector<double> etc(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ready[i] = static_cast<double>(rng.below(4));
+        etc[i] = static_cast<double>(1 + rng.below(4));
+      }
+      expect_sufferage_matches(ready, etc, 0.0);
+      expect_sufferage_matches(ready, etc, 1e-9);
+    }
+  }
+}
+
+// Distinct scores 0.5e-9 apart, the minimum rotating through the lanes:
+// eps = 0 ties only the minimum, eps = 1e-9 also its nearest neighbours.
+TEST(Minscan, SufferageScanTiedListAtZeroAndNanoEpsilon) {
+  for (std::size_t n = 1; n <= kMaxLen; ++n) {
+    std::vector<double> ready(n);
+    const std::vector<double> etc(n, 1.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      ready[i] = 10.0 + 0.5e-9 * static_cast<double>((i + n / 2) % n);
+    }
+    expect_sufferage_matches(ready, etc, 0.0);
+    expect_sufferage_matches(ready, etc, 1e-9);
+
+    std::vector<std::size_t> tied(n);
+    const minscan::SufferageScan exact = minscan::sufferage_scan(
+        ready.data(), etc.data(), n, 0.0, tied.data());
+    EXPECT_EQ(exact.tied_count, 1u) << "n=" << n;
+    const minscan::SufferageScan loose = minscan::sufferage_scan(
+        ready.data(), etc.data(), n, 1e-9, tied.data());
+    EXPECT_GE(loose.tied_count, std::min<std::size_t>(n, 2)) << "n=" << n;
+  }
+}
+
+}  // namespace

@@ -62,6 +62,8 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/cancel.hpp"
@@ -163,17 +165,12 @@ class Args {
     return get(key).value_or(std::move(fallback));
   }
   long long get_ll(const std::string& key, long long fallback) const {
-    const auto v = get(key);
-    if (!v) return fallback;
-    long long out = 0;
-    const char* begin = v->data();
-    const char* end = begin + v->size();
-    const auto [ptr, ec] = std::from_chars(begin, end, out);
-    if (ec != std::errc{} || ptr != end) {
-      throw std::invalid_argument("malformed value for --" + key + ": '" +
-                                  *v + "'");
-    }
-    return out;
+    return get_integer(key, fallback);
+  }
+  /// A count flag: digits only, so a sign or trailing characters are
+  /// malformed rather than wrapped into a huge std::size_t.
+  std::size_t get_count(const std::string& key, std::size_t fallback) const {
+    return get_integer(key, fallback);
   }
   double get_d(const std::string& key, double fallback) const {
     const auto v = get(key);
@@ -191,6 +188,21 @@ class Args {
   }
 
  private:
+  template <typename Int>
+  Int get_integer(const std::string& key, Int fallback) const {
+    const auto v = get(key);
+    if (!v) return fallback;
+    Int out = 0;
+    const char* begin = v->data();
+    const char* end = begin + v->size();
+    const auto [ptr, ec] = std::from_chars(begin, end, out);
+    if (ec != std::errc{} || ptr != end) {
+      throw std::invalid_argument("malformed value for --" + key + ": '" +
+                                  *v + "'");
+    }
+    return out;
+  }
+
   std::map<std::string, std::string> values_{};
   std::set<std::string> allowed_{};
   std::string error_{};
@@ -228,6 +240,25 @@ rng::TieBreaker make_ties(const Args& args, rng::Rng& rng) {
   return rng::TieBreaker();
 }
 
+/// --tasks and --machines of a generated ETC: at least one machine and at
+/// most etc::kMaxCsvCells cells, the cap read_csv enforces on a loaded one.
+std::pair<std::size_t, std::size_t> etc_shape(const Args& args,
+                                              std::size_t tasks,
+                                              std::size_t machines) {
+  tasks = args.get_count("tasks", tasks);
+  machines = args.get_count("machines", machines);
+  if (machines == 0) {
+    throw std::invalid_argument("--machines must be at least 1");
+  }
+  if (tasks > etc::kMaxCsvCells / machines) {
+    throw std::invalid_argument(
+        "--tasks " + std::to_string(tasks) + " x --machines " +
+        std::to_string(machines) + " exceeds the limit of " +
+        std::to_string(etc::kMaxCsvCells) + " cells");
+  }
+  return {tasks, machines};
+}
+
 int cmd_list() {
   for (const auto& name : heuristics::known_heuristic_names()) {
     std::printf("%s\n", name.c_str());
@@ -236,8 +267,7 @@ int cmd_list() {
 }
 
 int cmd_generate(const Args& args) {
-  const auto tasks = static_cast<std::size_t>(args.get_ll("tasks", 16));
-  const auto machines = static_cast<std::size_t>(args.get_ll("machines", 4));
+  const auto [tasks, machines] = etc_shape(args, 16, 4);
   rng::Rng rng(static_cast<std::uint64_t>(args.get_ll("seed", 1)));
 
   etc::EtcMatrix matrix;
@@ -398,10 +428,9 @@ sim::StudyParams study_params_from(const Args& args) {
   sim::StudyParams params;
   params.heuristics = {"MET",       "MCT", "Min-Min", "Genitor", "SWA",
                        "Sufferage", "KPB"};
-  params.trials = static_cast<std::size_t>(args.get_ll("trials", 25));
-  params.cvb.num_tasks = static_cast<std::size_t>(args.get_ll("tasks", 24));
-  params.cvb.num_machines =
-      static_cast<std::size_t>(args.get_ll("machines", 6));
+  params.trials = args.get_count("trials", 25);
+  std::tie(params.cvb.num_tasks, params.cvb.num_machines) =
+      etc_shape(args, 24, 6);
   params.seed = static_cast<std::uint64_t>(args.get_ll("seed", 7));
   params.tie_policy = args.get_or("ties", "det") == "random"
                           ? rng::TiePolicy::kRandom
@@ -546,14 +575,12 @@ int cmd_witness(const Args& args) {
   if (!name) throw std::invalid_argument("--heuristic NAME is required");
   const auto heuristic = heuristics::make_heuristic(*name);
   core::WitnessSpec spec;
-  spec.num_tasks = static_cast<std::size_t>(args.get_ll("tasks", 6));
-  spec.num_machines = static_cast<std::size_t>(args.get_ll("machines", 3));
+  std::tie(spec.num_tasks, spec.num_machines) = etc_shape(args, 6, 3);
   spec.half_integers = true;
   spec.policy = args.get_or("ties", "det") == "random"
                     ? rng::TiePolicy::kRandom
                     : rng::TiePolicy::kDeterministic;
-  const auto max_trials =
-      static_cast<std::size_t>(args.get_ll("max-trials", 200000));
+  const std::size_t max_trials = args.get_count("max-trials", 200000);
   rng::Rng rng(static_cast<std::uint64_t>(args.get_ll("seed", 42)));
   const auto witness =
       core::find_makespan_increase_witness(*heuristic, spec, rng, max_trials);
@@ -601,7 +628,7 @@ int cmd_online(const Args& args) {
   }
   rng::Rng rng(static_cast<std::uint64_t>(args.get_ll("seed", 1)));
   const auto stream = sim::make_arrival_stream(
-      static_cast<std::size_t>(args.get_ll("count", 32)),
+      args.get_count("count", 32),
       args.get_d("mean-gap", 10.0), matrix.num_tasks(), rng);
   const sim::OnlineDispatcher dispatcher(config);
   rng::TieBreaker ties = make_ties(args, rng);
