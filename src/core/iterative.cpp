@@ -99,14 +99,17 @@ IterativeResult IterativeMinimizer::run(const Heuristic& heuristic,
   HCSCHED_COUNT(obs::Counter::kIterativeRuns);
   // Wall time of the whole minimization (all rounds of one heuristic) shows
   // up in `study --profile` keyed by heuristic name.
-  HCSCHED_SPAN(run_span, "iterative:" + std::string(heuristic.name()));
+  HCSCHED_SPAN(run_span, "iterative:", heuristic.name());
   HCSCHED_SPAN_ATTR(run_span, "heuristic", obs::JsonValue(heuristic.name()));
   HCSCHED_SPAN_ATTR(run_span, "tasks", obs::JsonValue(problem.num_tasks()));
   HCSCHED_SPAN_ATTR(run_span, "machines",
                     obs::JsonValue(problem.num_machines()));
   IterativeResult result;
+  // Every non-terminal iteration removes one machine: at most M records.
+  result.iterations.reserve(problem.num_machines());
   // Final finishing times keyed in initial machine order; filled in as
   // machines are removed.
+  result.final_finishing_times.reserve(problem.num_machines());
   for (MachineId m : problem.machines()) {
     result.final_finishing_times.emplace_back(m, 0.0);
   }
@@ -123,6 +126,7 @@ IterativeResult IterativeMinimizer::run(const Heuristic& heuristic,
                         " frozen but absent from the original problem");
   };
 
+  // The one copy of the problem; each round shrinks it in place.
   Problem current = problem;
   // Incremental machine-removal state for the fastpath kernels: the view of
   // the current problem's ETC cells is compacted in place each round
@@ -136,10 +140,16 @@ IterativeResult IterativeMinimizer::run(const Heuristic& heuristic,
     reuse.emplace(current);
     reuse_scope.emplace(*reuse);
   }
-  Schedule seed_storage;
-  const Schedule* seed = nullptr;
-  std::size_t index = 0;
-  for (;;) {
+  // Positions in current.tasks() of the frozen machine's tasks.
+  std::vector<std::size_t> removed_rows;
+  removed_rows.reserve(current.num_tasks());
+  for (std::size_t index = 0;; ++index) {
+    // Seed: the previous iteration's own schedule. It maps every task of
+    // `current` to a machine of `current` (removing the makespan machine
+    // removed exactly its tasks), which is all map_seeded requires.
+    const Schedule* seed = options_.use_seeding && index > 0
+                               ? &result.iterations.back().schedule
+                               : nullptr;
     IterationRecord record;
     record.index = index;
     {
@@ -172,14 +182,14 @@ IterativeResult IterativeMinimizer::run(const Heuristic& heuristic,
     // terminal iteration, freezing every surviving machine at its current
     // completion time — the result stays structurally valid, just with
     // fewer minimization rounds applied.
-    if (done.problem().num_machines() == 1 ||
-        done.problem().num_tasks() == 0 || cancellation_requested()) {
+    if (current.num_machines() == 1 || current.num_tasks() == 0 ||
+        cancellation_requested()) {
       // Terminal iteration: every surviving machine keeps this mapping's
       // completion time.
 #if HCSCHED_TRACE
       trace_iteration(heuristic, done, /*removed=*/false);
 #endif
-      for (MachineId m : done.problem().machines()) {
+      for (MachineId m : current.machines()) {
         record_finish(m, done.schedule.completion_time(m));
       }
       break;
@@ -187,32 +197,30 @@ IterativeResult IterativeMinimizer::run(const Heuristic& heuristic,
 #if HCSCHED_TRACE
     trace_iteration(heuristic, done, /*removed=*/true);
 #endif
-    // Freeze the makespan machine's finishing time and shrink the problem.
+    // Freeze the makespan machine's finishing time and shrink the problem
+    // by its slot and the rows of its tasks.
     record_finish(done.makespan_machine, done.makespan);
-    const std::vector<TaskId> removed_tasks =
-        done.schedule.tasks_on(done.makespan_machine);
-    current = done.problem().without_machine(done.makespan_machine,
-                                             removed_tasks);
+    removed_rows.clear();
+    const std::vector<TaskId>& tasks = current.tasks();
+    for (std::size_t row = 0; row < tasks.size(); ++row) {
+      if (done.schedule.machine_of(tasks[row]) == done.makespan_machine) {
+        removed_rows.push_back(row);
+      }
+    }
+    const std::size_t slot = current.slot_of(done.makespan_machine);
+    current.remove_machine(slot, removed_rows);
     // Each round removes exactly the makespan machine and exactly its tasks.
     HCSCHED_INVARIANT(
         current.num_machines() == done.problem().num_machines() - 1,
         "iteration ", index, " removed ",
         done.problem().num_machines() - current.num_machines(), " machines");
     HCSCHED_INVARIANT(
-        current.num_tasks() == done.problem().num_tasks() -
-                                   removed_tasks.size(),
-        "iteration ", index, " dropped tasks not on the frozen machine");
-    if (reuse.has_value()) reuse->apply_removal(current);
-    ++index;
-
-    // Seed for the next iteration: the just-produced mapping restricted to
-    // the surviving machines. Valid because removing the makespan machine
-    // removes exactly its tasks.
-    seed = nullptr;
-    if (options_.use_seeding) {
-      seed_storage = restrict_schedule(done.schedule, current);
-      seed = &seed_storage;
-    }
+        removed_rows.size() ==
+            done.schedule.tasks_on(done.makespan_machine).size(),
+        "iteration ", index, " dropped ", removed_rows.size(),
+        " tasks, not the frozen machine's ",
+        done.schedule.tasks_on(done.makespan_machine).size());
+    if (reuse.has_value()) reuse->apply_removal(slot, removed_rows);
   }
 #if HCSCHED_TRACE
   if (obs::Tracer::active()) {
@@ -243,21 +251,6 @@ IterativeResult IterativeMinimizer::run(const Heuristic& heuristic,
   HCSCHED_SPAN_ATTR(run_span, "iterations",
                     obs::JsonValue(result.iterations.size()));
   return result;
-}
-
-Schedule restrict_schedule(const Schedule& previous, const Problem& problem) {
-  Schedule out(problem);
-  for (TaskId t : problem.tasks()) {
-    const auto machine = previous.machine_of(t);
-    if (!machine.has_value()) {
-      throw std::invalid_argument(
-          "restrict_schedule: task not mapped by previous schedule");
-    }
-    out.assign(t, *machine);
-  }
-  HCSCHED_INVARIANT(out.complete(), "restriction mapped ", out.num_assigned(),
-                    " of ", problem.num_tasks(), " surviving tasks");
-  return out;
 }
 
 }  // namespace hcsched::core

@@ -9,10 +9,18 @@
 // completion time in the iteration at which it was removed; machines
 // surviving to the last iteration take their completion times from it.
 //
-// With `use_seeding` enabled the previous iteration's mapping (already
-// restricted to the surviving machines) is passed to Heuristic::map_seeded —
-// only Genitor consumes it; for the greedy heuristics this reproduces the
-// paper's protocol exactly.
+// With `use_seeding` enabled the previous iteration's own schedule is passed
+// to Heuristic::map_seeded as the seed. It maps every surviving task to a
+// surviving machine (removing the makespan machine removes exactly its
+// tasks) plus the removed machine's tasks, which is the map_seeded contract;
+// the search heuristics and Seeded<H> read its restriction, the greedy
+// heuristics ignore it, so this reproduces the paper's protocol exactly.
+//
+// One run copies the input Problem once and then shrinks that copy in place
+// each round (Problem::remove_machine, on the task rows found by one
+// machine_of pass over the schedule); the fastpath kernels' ETC view is
+// compacted by the same slot and rows (fastpath::IterativeReuse). Each
+// round's Schedule is stored in its IterationRecord.
 #pragma once
 
 #include <vector>
@@ -63,7 +71,7 @@ struct IterativeResult {
 };
 
 struct IterativeOptions {
-  /// Pass the previous iteration's mapping to Heuristic::map_seeded
+  /// Pass the previous iteration's schedule to Heuristic::map_seeded
   /// (Genitor's protocol in the paper). Greedy heuristics ignore the seed.
   bool use_seeding = true;
   /// Epsilon used when identifying the makespan machine.
@@ -85,11 +93,5 @@ class IterativeMinimizer {
  private:
   IterativeOptions options_;
 };
-
-/// Restriction of `previous` to the tasks/machines of `problem`: a schedule
-/// over `problem` assigning each task to the machine `previous` chose.
-/// Usable as a Genitor seed. Preconditions: every task of `problem` is
-/// mapped by `previous` to a machine of `problem`.
-Schedule restrict_schedule(const Schedule& previous, const Problem& problem);
 
 }  // namespace hcsched::core

@@ -80,7 +80,10 @@ Header parse_header(std::string_view line) {
       !(header >> std::ws).eof()) {
     fail("malformed header '" + std::string(line) + "'");
   }
-  if (h.machines != 0 && h.tasks > kMaxCsvCells / h.machines) {
+  // An empty dimension counts as 1, so the other one is capped too: a
+  // "0,-2" header (machines wrapped to 2^64 - 2) must not pass as 0 cells.
+  if (std::max<std::size_t>(h.tasks, 1) >
+      kMaxCsvCells / std::max<std::size_t>(h.machines, 1)) {
     fail(std::to_string(h.tasks) + "x" + std::to_string(h.machines) +
          " exceeds the limit of " + std::to_string(kMaxCsvCells) + " cells");
   }

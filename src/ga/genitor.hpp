@@ -12,7 +12,7 @@
 // RNG draw order is a contract (docs/ALGORITHMS.md, Genitor).
 //
 // In the iterative technique, `map_seeded` injects the previous iteration's
-// mapping (restricted to the surviving machines) into the initial
+// mapping (its restriction to the surviving machines) into the initial
 // population — the paper's §3.1 argument that iterative Genitor either
 // improves or keeps the mapping rests exactly on this seeding plus elitism.
 #pragma once

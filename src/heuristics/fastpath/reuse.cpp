@@ -1,65 +1,32 @@
 #include "heuristics/fastpath/reuse.hpp"
 
-#include <algorithm>
-
-#include "core/check.hpp"
-
 namespace hcsched::heuristics::fastpath {
 
 namespace {
 
 thread_local IterativeReuse* g_active = nullptr;
 
-/// Positions in `before` whose elements are absent from `after` (both keep
-/// relative order, as Problem::without_machine guarantees). Ascending.
-template <typename Id>
-std::vector<std::size_t> removed_positions(const std::vector<Id>& before,
-                                           const std::vector<Id>& after) {
-  std::vector<std::size_t> out;
-  out.reserve(before.size() - after.size());
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < before.size(); ++i) {
-    if (kept < after.size() && before[i] == after[kept]) {
-      ++kept;
-    } else {
-      out.push_back(i);
-    }
-  }
-  HCSCHED_INVARIANT(kept == after.size(),
-                    "IterativeReuse: surviving ids are not a subsequence");
-  return out;
-}
-
 }  // namespace
 
 IterativeReuse::IterativeReuse(const sched::Problem& initial)
-    : matrix_(&initial.matrix()),
-      tasks_(initial.tasks()),
-      machines_(initial.machines()),
-      view_(initial) {}
+    : mirror_(initial), view_(initial) {}
 
-void IterativeReuse::apply_removal(const sched::Problem& next) {
-  HCSCHED_PRECONDITION(&next.matrix() == matrix_,
-                       "IterativeReuse: next problem uses another matrix");
-  const std::vector<std::size_t> slots =
-      removed_positions(machines_, next.machines());
-  HCSCHED_PRECONDITION(slots.size() == 1,
-                       "IterativeReuse: expected one removed machine, got ",
-                       slots.size());
-  const std::vector<std::size_t> rows = removed_positions(tasks_, next.tasks());
-  const std::size_t slot = slots.front();
+void IterativeReuse::apply_removal(std::size_t slot,
+                                   std::span<const std::size_t> rows) {
+  const std::size_t old_t = mirror_.num_tasks();
+  const std::size_t old_m = mirror_.num_machines();
+  mirror_.remove_machine(slot, rows);
   view_.compact(slot, rows);
 
   if (rankings_built_) {
     // Keep each surviving row's relative order and renumber slots past the
     // removed one — exactly what a fresh (ETC, slot) sort of the shrunk row
     // would produce, since dropping one key preserves the order of the rest.
-    const std::size_t old_m = machines_.size();
     const std::uint32_t gone = static_cast<std::uint32_t>(slot);
     const std::uint32_t* in = rankings_.data();
     std::uint32_t* out = rankings_.data();
     std::size_t next_drop = 0;
-    for (std::size_t r = 0; r < tasks_.size(); ++r, in += old_m) {
+    for (std::size_t r = 0; r < old_t; ++r, in += old_m) {
       if (next_drop < rows.size() && rows[next_drop] == r) {
         ++next_drop;
         continue;
@@ -70,16 +37,13 @@ void IterativeReuse::apply_removal(const sched::Problem& next) {
         *out++ = s > gone ? s - 1 : s;
       }
     }
-    rankings_.resize(next.num_tasks() * next.num_machines());
+    rankings_.resize(mirror_.num_tasks() * mirror_.num_machines());
   }
-
-  tasks_ = next.tasks();
-  machines_ = next.machines();
 }
 
 bool IterativeReuse::matches(const sched::Problem& p) const noexcept {
-  return &p.matrix() == matrix_ && p.tasks() == tasks_ &&
-         p.machines() == machines_;
+  return &p.matrix() == &mirror_.matrix() && p.tasks() == mirror_.tasks() &&
+         p.machines() == mirror_.machines();
 }
 
 ScopedReuse::ScopedReuse(IterativeReuse& reuse) noexcept

@@ -4,7 +4,8 @@
 // machine; the heuristic's input shrinks by exactly one machine column and
 // exactly the rows of the tasks that machine held, with every surviving
 // cell unchanged. IterativeReuse exploits that: it owns the EtcView of the
-// current iteration's problem and, on each removal, compacts it in place
+// current iteration's problem and, on each removal (the slot and task rows
+// the minimizer also removes from its Problem), compacts it in place
 // (EtcView::compact) instead of re-gathering T x M cells from the matrix —
 // plus the KPB per-task machine rankings, which survive slot removal by
 // order-preserving compaction (docs/FASTPATH.md "Incremental iteration").
@@ -21,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "heuristics/fastpath/etc_view.hpp"
@@ -32,10 +34,11 @@ class IterativeReuse {
  public:
   explicit IterativeReuse(const sched::Problem& initial);
 
-  /// Advance to `next`, the current problem minus one machine and the tasks
-  /// mapped to it (the result of Problem::without_machine). Compacts the
-  /// view and, when built, the KPB rankings in place.
-  void apply_removal(const sched::Problem& next);
+  /// Advance past one removal step: the machine at `slot` and the tasks at
+  /// positions `rows` (strictly ascending) leave, exactly as
+  /// Problem::remove_machine(slot, rows) does to the mirrored problem.
+  /// Compacts the view and, when built, the KPB rankings in place.
+  void apply_removal(std::size_t slot, std::span<const std::size_t> rows);
 
   /// True when `p` is exactly the problem this view mirrors.
   bool matches(const sched::Problem& p) const noexcept;
@@ -51,9 +54,7 @@ class IterativeReuse {
   void mark_rankings_built() noexcept { rankings_built_ = true; }
 
  private:
-  const sched::EtcMatrix* matrix_;
-  std::vector<sched::TaskId> tasks_;
-  std::vector<sched::MachineId> machines_;
+  sched::Problem mirror_;
   EtcView view_;
   std::vector<std::uint32_t> rankings_{};
   bool rankings_built_ = false;

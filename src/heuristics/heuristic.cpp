@@ -19,7 +19,7 @@ namespace {
 class CallScope {
  public:
   CallScope(const Heuristic& heuristic, const Problem& problem, bool seeded)
-      : span_("map:" + std::string(heuristic.name())),
+      : span_("map:", heuristic.name()),
         start_(std::chrono::steady_clock::now()) {
     // The span inherits the calling context (iteration span, trial span)
     // so per-heuristic time lands under the right profile path.

@@ -10,12 +10,13 @@
 // the library built under -DHCSCHED_TRACE=0 the wrappers collapse to plain
 // forwarding calls.
 //
-// do_map_seeded additionally receives the previous iteration's mapping
-// (restricted to the surviving machines); only Genitor and the Seeded
-// wrapper use it — Genitor seeds its initial population with that mapping,
-// which is what makes iterative Genitor monotone (paper §3.1). The default
-// implementation ignores the seed, matching the other heuristics' behavior
-// in the paper.
+// do_map_seeded additionally receives the previous iteration's mapping, as
+// the iterative core produced it (not restricted to the surviving machines);
+// the search heuristics (Genitor, SA, GSA, Tabu, LocalSearch) and the
+// Seeded wrapper use it — Genitor seeds its initial population with that
+// mapping's restriction, which is what makes iterative Genitor monotone
+// (paper §3.1). The default implementation ignores the seed, matching the
+// other heuristics' behavior in the paper.
 #pragma once
 
 #include <memory>
@@ -45,9 +46,12 @@ class Heuristic {
   Schedule map(const Problem& problem, TieBreaker& ties) const;
 
   /// Like map(), but with an optional warm-start mapping from the previous
-  /// iteration of the iterative technique. `seed` assigns exactly the tasks
-  /// of `problem` to machines of `problem` (already restricted); it may be
-  /// null. Instrumented like map().
+  /// iteration of the iterative technique; it may be null. `seed` maps every
+  /// task of `problem` to a machine of `problem`, and may map more (the
+  /// iterative core passes the previous iteration's whole schedule, which
+  /// also holds the removed machine's tasks). A consumer reads only its
+  /// restriction to `problem` (sched::restrict_schedule, or machine_of over
+  /// problem.tasks()). Instrumented like map().
   Schedule map_seeded(const Problem& problem, TieBreaker& ties,
                       const Schedule* seed) const;
 

@@ -22,17 +22,20 @@ Schedule Seeded::do_map(const Problem& problem, TieBreaker& ties) const {
 
 Schedule Seeded::do_map_seeded(const Problem& problem, TieBreaker& ties,
                             const Schedule* seed) const {
-  Schedule fresh = inner_->map_seeded(problem, ties, seed);
-  if (seed == nullptr) return fresh;
+  if (seed == nullptr) return inner_->map_seeded(problem, ties, nullptr);
+  // The seed may map more than `problem` (the whole previous iteration);
+  // its makespan only counts over the problem's tasks and machines.
+  Schedule incumbent = sched::restrict_schedule(*seed, problem);
+  Schedule fresh = inner_->map_seeded(problem, ties, &incumbent);
   // The incumbent wins ties — the mapping changes only when strictly
   // better, exactly the preservation argument of paper §5.
-  Schedule out = fresh.makespan() < seed->makespan() ? std::move(fresh)
-                                                     : Schedule(*seed);
+  const double bound = incumbent.makespan();
+  Schedule out = fresh.makespan() < bound ? std::move(fresh)
+                                          : std::move(incumbent);
   // §5 monotonicity guarantee: keeping the incumbent as a candidate bounds
-  // the result by the seed's makespan in every case.
-  HCSCHED_INVARIANT(out.makespan() <= seed->makespan(),
-                    "seeded result makespan ", out.makespan(),
-                    " exceeds incumbent ", seed->makespan());
+  // the result by the incumbent's makespan in every case.
+  HCSCHED_INVARIANT(out.makespan() <= bound, "seeded result makespan ",
+                    out.makespan(), " exceeds incumbent ", bound);
   return out;
 }
 

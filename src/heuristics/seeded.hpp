@@ -8,8 +8,9 @@
 //
 // Seeded<H> runs the inner heuristic and, when the iterative technique
 // supplies the previous iteration's mapping as a seed, returns whichever of
-// {inner result, seed} has the smaller makespan (the seed wins ties,
-// preserving the incumbent exactly as Genitor's rank insertion does). This
+// {inner result, incumbent} has the smaller makespan, where the incumbent is
+// the seed restricted to the problem (the seed wins ties, preserving the
+// incumbent exactly as Genitor's rank insertion does). This
 // makes the iterative technique monotone for ANY inner heuristic — verified
 // as a property test over every registered heuristic in test_seeded.cpp and
 // quantified by bench_seeding_ablation.

@@ -68,8 +68,10 @@ std::uint64_t parse_span_id(std::string_view text) {
   return id;
 }
 
-ScopedSpan::ScopedSpan(std::string name) : name_(std::move(name)) {
+ScopedSpan::ScopedSpan(std::string_view name, std::string_view name_suffix) {
   if (!Tracer::active()) return;
+  name_.reserve(name.size() + name_suffix.size());
+  name_.append(name).append(name_suffix);
   if (t_span_stack.empty()) {
     const std::uint64_t seq =
         g_root_sequence.fetch_add(1, std::memory_order_relaxed);
@@ -86,9 +88,9 @@ ScopedSpan::ScopedSpan(std::string name) : name_(std::move(name)) {
   }
 }
 
-ScopedSpan::ScopedSpan(std::string name, std::uint64_t trace_seed)
-    : name_(std::move(name)) {
+ScopedSpan::ScopedSpan(std::string_view name, std::uint64_t trace_seed) {
   if (!Tracer::active()) return;
+  name_ = name;
   open(trace_seed, /*seeded=*/true);
 }
 

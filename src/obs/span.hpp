@@ -22,6 +22,7 @@
 // Call sites use the macros at the bottom of this header:
 //
 //   HCSCHED_SPAN(span, "iteration");            // child of current, or root
+//   HCSCHED_SPAN(span, "map:", name);           // joined only if recording
 //   HCSCHED_SPAN_SEEDED(span, "trial", seed);   // deterministic trace root
 //   HCSCHED_SPAN_ATTR(span, "makespan_machine", obs::JsonValue(m));
 //
@@ -63,13 +64,16 @@ class ScopedSpan {
  public:
   /// Opens a span as a child of the calling thread's current span; with no
   /// span open it becomes the root of a new trace seeded from a
-  /// process-local root counter.
-  explicit ScopedSpan(std::string name);
+  /// process-local root counter. The span's name is `name` followed by
+  /// `name_suffix`, joined only while recording (an untraced call site with
+  /// a composed name allocates nothing).
+  explicit ScopedSpan(std::string_view name,
+                      std::string_view name_suffix = {});
 
   /// Opens the root of a new trace whose trace/span IDs derive from
   /// `trace_seed` via SplitMix64 — deterministic regardless of which thread
   /// runs it or what other spans are live.
-  ScopedSpan(std::string name, std::uint64_t trace_seed);
+  ScopedSpan(std::string_view name, std::uint64_t trace_seed);
 
   ~ScopedSpan();
 
@@ -123,8 +127,9 @@ std::size_t thread_depth() noexcept;
 }  // namespace hcsched::obs
 
 #if HCSCHED_TRACE
-/// Opens a scoped span named `name` (child of the thread's current span).
-#define HCSCHED_SPAN(var, name) ::hcsched::obs::ScopedSpan var { name }
+/// Opens a scoped span (child of the thread's current span) named by the
+/// arguments: a name, or a name and a suffix joined only while recording.
+#define HCSCHED_SPAN(var, ...) ::hcsched::obs::ScopedSpan var { __VA_ARGS__ }
 /// Opens a scoped span rooting a new trace deterministically from `seed`.
 #define HCSCHED_SPAN_SEEDED(var, name, seed) \
   ::hcsched::obs::ScopedSpan var { name, seed }
@@ -137,7 +142,7 @@ std::size_t thread_depth() noexcept;
     }                                    \
   } while (0)
 #else
-#define HCSCHED_SPAN(var, name) \
+#define HCSCHED_SPAN(var, ...) \
   ::hcsched::obs::NullSpan var {}
 #define HCSCHED_SPAN_SEEDED(var, name, seed) \
   ::hcsched::obs::NullSpan var {}

@@ -1,6 +1,7 @@
 #include "sched/problem.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -38,6 +39,30 @@ Problem::Problem(const EtcMatrix& matrix, std::vector<TaskId> tasks,
                                   std::to_string(m));
     }
   }
+  // bound[s] = ready time + ETC column sum: the largest completion time any
+  // mapping can give the machine in slot s.
+  std::vector<double> bound = ready_;
+  for (std::size_t s = 0; s < bound.size(); ++s) {
+    if (!std::isfinite(bound[s]) || bound[s] < 0.0) {
+      throw std::invalid_argument(
+          "Problem: ready time of machine " + std::to_string(machines_[s]) +
+          " is not a finite, non-negative time");
+    }
+  }
+  for (TaskId t : tasks_) {
+    const auto row = matrix.row(t);
+    for (std::size_t s = 0; s < bound.size(); ++s) {
+      bound[s] += row[static_cast<std::size_t>(machines_[s])];
+    }
+  }
+  for (std::size_t s = 0; s < bound.size(); ++s) {
+    if (!std::isfinite(bound[s])) {
+      throw std::invalid_argument(
+          "Problem: completion times of machine " +
+          std::to_string(machines_[s]) +
+          " overflow (ready time plus ETC column sum is not finite)");
+    }
+  }
 }
 
 Problem Problem::full(const EtcMatrix& matrix) {
@@ -63,28 +88,51 @@ bool Problem::has_task(TaskId task) const noexcept {
   return std::find(tasks_.begin(), tasks_.end(), task) != tasks_.end();
 }
 
+void Problem::remove_machine(std::size_t slot,
+                             std::span<const std::size_t> rows) {
+  if (slot >= machines_.size()) {
+    throw std::invalid_argument("Problem::remove_machine: slot " +
+                                std::to_string(slot) + " out of range");
+  }
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (rows[i] >= tasks_.size() || (i > 0 && rows[i] <= rows[i - 1])) {
+      throw std::invalid_argument(
+          "Problem::remove_machine: task rows must be strictly ascending "
+          "positions of tasks()");
+    }
+  }
+  std::size_t kept = 0;
+  std::size_t next_drop = 0;
+  for (std::size_t i = 0; i < tasks_.size(); ++i) {
+    if (next_drop < rows.size() && rows[next_drop] == i) {
+      ++next_drop;
+    } else {
+      tasks_[kept++] = tasks_[i];
+    }
+  }
+  tasks_.resize(kept);
+  machines_.erase(machines_.begin() + static_cast<std::ptrdiff_t>(slot));
+  ready_.erase(ready_.begin() + static_cast<std::ptrdiff_t>(slot));
+}
+
 Problem Problem::without_machine(
     MachineId machine, const std::vector<TaskId>& tasks_to_drop) const {
   const std::size_t drop_slot = slot_of(machine);
   if (drop_slot == npos) {
     throw std::invalid_argument("Problem::without_machine: machine absent");
   }
-  Problem next;
-  next.matrix_ = matrix_;
-  next.tasks_.reserve(tasks_.size());
-  for (TaskId t : tasks_) {
-    if (std::find(tasks_to_drop.begin(), tasks_to_drop.end(), t) ==
-        tasks_to_drop.end()) {
-      next.tasks_.push_back(t);
+  std::vector<char> dropped(matrix_->num_tasks(), 0);
+  for (TaskId t : tasks_to_drop) {
+    if (t >= 0 && static_cast<std::size_t>(t) < dropped.size()) {
+      dropped[static_cast<std::size_t>(t)] = 1;
     }
   }
-  next.machines_.reserve(machines_.size() - 1);
-  next.ready_.reserve(machines_.size() - 1);
-  for (std::size_t i = 0; i < machines_.size(); ++i) {
-    if (i == drop_slot) continue;
-    next.machines_.push_back(machines_[i]);
-    next.ready_.push_back(ready_[i]);
+  std::vector<std::size_t> rows;
+  for (std::size_t i = 0; i < tasks_.size(); ++i) {
+    if (dropped[static_cast<std::size_t>(tasks_[i])] != 0) rows.push_back(i);
   }
+  Problem next = *this;
+  next.remove_machine(drop_slot, rows);
   return next;
 }
 

@@ -8,9 +8,16 @@
 // Task order in `tasks` is significant: list-ordered heuristics (MCT, MET,
 // OLB, KPB, SWA) map tasks in exactly this order, and the paper's theorems
 // require the relative order to be preserved across iterations —
-// Problem::without_machine preserves it.
+// Problem::remove_machine (and without_machine, built on it) preserves it.
+//
+// Every completion time a mapping of the problem can reach is bounded by a
+// machine's ready time plus the sum of its ETC column over the problem's
+// tasks; the constructor rejects problems where that bound is not finite,
+// so no heuristic ever sees an infinite or NaN completion time. Shrinking
+// only drops non-negative terms, so shrunk problems keep the guarantee.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "etc/etc_matrix.hpp"
@@ -26,7 +33,9 @@ class Problem {
   Problem() = default;
 
   /// Problem over a subset. `initial_ready` is parallel to `machines`;
-  /// an empty vector means all zeros.
+  /// an empty vector means all zeros. Throws std::invalid_argument unless
+  /// every ready time is finite and non-negative and each machine's ready
+  /// time plus its ETC column summed over `tasks` is finite.
   Problem(const EtcMatrix& matrix, std::vector<TaskId> tasks,
           std::vector<MachineId> machines,
           std::vector<double> initial_ready = {});
@@ -61,9 +70,16 @@ class Problem {
     return slot_of(machine) != npos;
   }
 
+  /// One step of the paper's iterative technique, in place: removes the
+  /// machine at `slot` and the tasks at positions `rows` of tasks()
+  /// (strictly ascending). Surviving tasks and machines keep their relative
+  /// order and initial ready times. Throws std::invalid_argument on a slot
+  /// or row out of range, or rows not strictly ascending.
+  void remove_machine(std::size_t slot, std::span<const std::size_t> rows);
+
   /// A new Problem with `machine` removed along with the tasks in
-  /// `tasks_to_drop` (the tasks mapped to it), ready times reset to the
-  /// initial ready times — one step of the paper's iterative technique.
+  /// `tasks_to_drop` (the tasks mapped to it; ids outside the problem are
+  /// ignored), ready times reset to the initial ready times.
   Problem without_machine(MachineId machine,
                           const std::vector<TaskId>& tasks_to_drop) const;
 

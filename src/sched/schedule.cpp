@@ -16,7 +16,6 @@ constexpr std::int32_t kForeign = -2;
 Schedule::Schedule(const Problem& problem)
     : problem_(problem),
       ready_(problem.initial_ready_times()),
-      queues_(problem.num_machines()),
       slot_by_machine_(problem.matrix().num_machines(), -1),
       machine_by_task_(problem.matrix().num_tasks(), kForeign) {
   order_.reserve(problem.num_tasks());
@@ -62,7 +61,6 @@ double Schedule::assign(TaskId task, MachineId machine) {
   HCSCHED_INVARIANT(a.finish >= a.start, "task ", task, " on machine ",
                     machine, " has negative ETC ", a.finish - a.start);
   ready_[slot] = a.finish;
-  queues_[slot].push_back(a);
   order_.push_back(a);
   machine_by_task_[static_cast<std::size_t>(task)] = machine;
   HCSCHED_INVARIANT(order_.size() <= problem_.num_tasks(),
@@ -83,8 +81,13 @@ double Schedule::completion_time(MachineId machine) const {
   return ready_[checked_slot(machine, "Schedule::completion_time")];
 }
 
-const std::vector<Assignment>& Schedule::queue_of(MachineId machine) const {
-  return queues_[checked_slot(machine, "Schedule::queue_of")];
+std::vector<Assignment> Schedule::queue_of(MachineId machine) const {
+  (void)checked_slot(machine, "Schedule::queue_of");
+  std::vector<Assignment> out;
+  for (const Assignment& a : order_) {
+    if (a.machine == machine) out.push_back(a);
+  }
+  return out;
 }
 
 double Schedule::makespan() const {
@@ -114,8 +117,11 @@ MachineId Schedule::makespan_machine(double epsilon) const {
 }
 
 std::vector<TaskId> Schedule::tasks_on(MachineId machine) const {
+  (void)checked_slot(machine, "Schedule::tasks_on");
   std::vector<TaskId> out;
-  for (const Assignment& a : queue_of(machine)) out.push_back(a.task);
+  for (const Assignment& a : order_) {
+    if (a.machine == machine) out.push_back(a.task);
+  }
   return out;
 }
 
@@ -126,6 +132,21 @@ bool Schedule::same_mapping(const Schedule& other) const {
     if (!m.has_value() || *m != a.machine) return false;
   }
   return true;
+}
+
+Schedule restrict_schedule(const Schedule& previous, const Problem& problem) {
+  Schedule out(problem);
+  for (TaskId t : problem.tasks()) {
+    const auto machine = previous.machine_of(t);
+    if (!machine.has_value()) {
+      throw std::invalid_argument(
+          "restrict_schedule: task not mapped by previous schedule");
+    }
+    out.assign(t, *machine);
+  }
+  HCSCHED_INVARIANT(out.complete(), "restriction mapped ", out.num_assigned(),
+                    " of ", problem.num_tasks(), " surviving tasks");
+  return out;
 }
 
 }  // namespace hcsched::sched

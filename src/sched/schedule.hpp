@@ -7,7 +7,9 @@
 //
 // Lookups (task membership, machine slot, task -> machine) are O(1) via
 // dense indices over the underlying ETC matrix's id space, so building a
-// schedule of n tasks costs O(n) beyond the heuristic's own work.
+// schedule of n tasks costs O(n) beyond the heuristic's own work. The
+// assignments live in one vector in assignment order; a machine's queue is
+// that vector filtered to the machine.
 #pragma once
 
 #include <cstdint>
@@ -53,8 +55,8 @@ class Schedule {
     return ready_;
   }
 
-  /// Ordered assignments of one machine.
-  const std::vector<Assignment>& queue_of(MachineId machine) const;
+  /// Ordered assignments of one machine (filtered from assignment_order()).
+  std::vector<Assignment> queue_of(MachineId machine) const;
 
   /// All assignments in the order they were made.
   const std::vector<Assignment>& assignment_order() const noexcept {
@@ -86,12 +88,18 @@ class Schedule {
   std::size_t checked_slot(MachineId machine, const char* caller) const;
 
   Problem problem_{};
-  std::vector<double> ready_{};                    // by machine slot
-  std::vector<std::vector<Assignment>> queues_{};  // by machine slot
+  std::vector<double> ready_{};  // by machine slot
   std::vector<Assignment> order_{};
   // Dense indices over the ETC matrix's id spaces:
   std::vector<std::int32_t> slot_by_machine_{};  // -1 = not in problem
   std::vector<std::int32_t> machine_by_task_{};  // -1 = unmapped, -2 = foreign
 };
+
+/// Restriction of `previous` to the tasks/machines of `problem`: a schedule
+/// over `problem` assigning each task to the machine `previous` chose, in
+/// the order of problem().tasks(). Throws std::invalid_argument when
+/// `previous` leaves a task of `problem` unmapped or maps it to a machine
+/// outside `problem`.
+Schedule restrict_schedule(const Schedule& previous, const Problem& problem);
 
 }  // namespace hcsched::sched

@@ -70,7 +70,7 @@ std::vector<SweepReportResult> run_sweep_report(
     r.point = point;
     {
       // Main-thread span per sweep point; the study span nests under it.
-      HCSCHED_SPAN(point_span, "sweep:" + point.label);
+      HCSCHED_SPAN(point_span, "sweep:", point.label);
       HCSCHED_SPAN_ATTR(point_span, "label", obs::JsonValue(point.label));
       r.report = run_iterative_study_report(params, pool, point_hooks);
     }

@@ -12,7 +12,13 @@
 //   2. for a returned M, from_csv(to_csv(M)) == M and to_csv of that result
 //      is byte-identical to to_csv(M);
 //   3. read_csv on an istringstream agrees with from_csv on the text: the
-//      same matrix, or the same message.
+//      same matrix, or the same message;
+//   4. a returned matrix of 1..64 cells (at least one machine) either is
+//      rejected by Problem::full with a "Problem:" std::invalid_argument
+//      (its completion times could overflow) or survives one
+//      IterativeMinimizer pass of MCT with finite final finishing times.
+// The corpus also holds texts with cells of 1e308, whose column sums
+// overflow (or just stay finite).
 // A failure prints the seed, the input (escaped) and the broken property.
 //
 // Usage: csv_fuzz [--seeds N]
@@ -32,7 +38,9 @@
 #include <string_view>
 #include <vector>
 
+#include "core/iterative.hpp"
 #include "etc/etc_io.hpp"
+#include "heuristics/mct.hpp"
 #include "rng/rng.hpp"
 #include "seed_count.hpp"
 
@@ -56,9 +64,20 @@ constexpr std::string_view kUntrusted[] = {
     "2,2x\n",
     "67108864,2\n",
     "-1,2\n",
+    "0,-2\n",
     "4294967296,4294967296\n",
     "2,2\r\n1, 2\r\n 3 ,4\r\n\r\n",
     "0,0\n\n",
+};
+
+// Cells near DBL_MAX: the first three overflow a column sum, the last two
+// stay finite.
+constexpr std::string_view kOverflowing[] = {
+    "2,2\n1e308,1e308\n1e308,1\n",
+    "3,1\n1e308\n1e308\n1e308\n",
+    "2,3\n1e308,1,1e308\n1e308,1e308,1\n",
+    "2,2\n1e308,1\n1,1e308\n",
+    "1,3\n1e308,1e308,1e308\n",
 };
 
 constexpr std::string_view kInsertions[] = {",", "\n", " ", "\t", "\r",
@@ -87,6 +106,9 @@ double random_cell(Rng& rng) {
 std::string random_corpus_entry(Rng& rng) {
   if (rng.chance(0.4)) {
     return std::string(kUntrusted[rng.below(std::size(kUntrusted))]);
+  }
+  if (rng.chance(0.15)) {
+    return std::string(kOverflowing[rng.below(std::size(kOverflowing))]);
   }
   const std::size_t tasks = rng.below(6);
   const std::size_t machines = rng.below(5);
@@ -160,6 +182,35 @@ Outcome outcome_of(Parse parse) {
   return out;
 }
 
+/// Property 4 for an accepted matrix: empty when it holds, else what broke.
+std::string check_iterate(const EtcMatrix& m) {
+  const std::size_t cells = m.num_tasks() * m.num_machines();
+  if (m.num_machines() == 0 || cells > 64) return {};
+  std::optional<hcsched::sched::Problem> problem;
+  try {
+    problem.emplace(hcsched::sched::Problem::full(m));
+  } catch (const std::invalid_argument& e) {
+    if (std::string_view(e.what()).starts_with("Problem:")) return {};
+    return std::string("Problem::full threw a foreign message: ") + e.what();
+  }
+  try {
+    const hcsched::heuristics::Mct mct;
+    hcsched::rng::TieBreaker ties;
+    const auto result =
+        hcsched::core::IterativeMinimizer{}.run(mct, *problem, ties);
+    for (const auto& [machine, finish] : result.final_finishing_times) {
+      if (!std::isfinite(finish)) {
+        return "MCT iterate: machine " + std::to_string(machine) +
+               " finishes at a time that is not finite";
+      }
+    }
+  } catch (const std::exception& e) {
+    return std::string("MCT iterate threw on an accepted problem: ") +
+           e.what();
+  }
+  return {};
+}
+
 /// Empty when every property holds for `text`, else what broke; `accepted`
 /// tells whether the text parsed.
 std::string check(const std::string& text, bool& accepted) {
@@ -182,6 +233,9 @@ std::string check(const std::string& text, bool& accepted) {
     if (!std::isfinite(v) || v < 0.0) {
       return "accepted a cell that is not a finite non-negative time";
     }
+  }
+  if (const std::string broken = check_iterate(m); !broken.empty()) {
+    return broken;
   }
   const std::string canonical = hcsched::etc::to_csv(m);
   const Outcome again =

@@ -88,6 +88,10 @@ TEST(EtcIo, UntrustedInputFailsClosed) {
       {"2,2x\n", "malformed header"},
       {"67108864,2\n", "exceeds the limit"},
       {"-1,2\n", "exceeds the limit"},
+      // With no tasks the machine count is capped on its own (a wrapped
+      // "-2" once passed as an empty matrix of 2^64 - 2 machines).
+      {"0,-2\n", "exceeds the limit"},
+      {"0,67108865\n", "exceeds the limit"},
       {"4294967296,4294967296\n", "exceeds the limit"},
       // Whitespace (a CRLF file, padded cells, trailing blank lines) is fine.
       {"2,2\r\n1, 2\r\n 3 ,4\r\n\r\n", nullptr},

@@ -314,7 +314,7 @@ TEST(Genitor, GoldenSeededWithRestrictedMapping) {
   const Schedule prev = hcsched::heuristics::MinMin().map(full, det);
   const int removed = prev.makespan_machine();
   const Problem next = full.without_machine(removed, prev.tasks_on(removed));
-  const Schedule seed = hcsched::core::restrict_schedule(prev, next);
+  const Schedule seed = hcsched::sched::restrict_schedule(prev, next);
   GenitorConfig cfg;
   cfg.seed_with_minmin = false;
   const Genitor genitor(cfg);

@@ -17,7 +17,7 @@ namespace {
 using hcsched::core::IterativeMinimizer;
 using hcsched::core::IterativeOptions;
 using hcsched::core::IterativeResult;
-using hcsched::core::restrict_schedule;
+using hcsched::sched::restrict_schedule;
 using hcsched::etc::EtcMatrix;
 using hcsched::rng::TieBreaker;
 using hcsched::sched::Problem;

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace {
 
 using hcsched::etc::EtcMatrix;
 using hcsched::sched::Problem;
+using Rows = std::vector<std::size_t>;
 
 EtcMatrix matrix3x3() {
   return EtcMatrix::from_rows({{1, 2, 3}, {4, 5, 6}, {7, 8, 9}});
@@ -95,6 +98,83 @@ TEST(Problem, WithoutMachineWithEmptyDropListKeepsTasks) {
   const Problem next = p.without_machine(2, {});
   EXPECT_EQ(next.num_tasks(), 3u);
   EXPECT_EQ(next.num_machines(), 2u);
+}
+
+TEST(Problem, RemoveMachineShrinksInPlaceKeepingOrder) {
+  const EtcMatrix m = EtcMatrix::from_rows(
+      {{1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {1, 1, 1}, {2, 2, 2}});
+  Problem p(m, {4, 2, 0, 3, 1}, {2, 0, 1}, {5.0, 6.0, 7.0});
+  p.remove_machine(1, Rows{1, 3});  // machine 0; tasks 2 and 3
+  EXPECT_EQ(p.tasks(), (std::vector<int>{4, 0, 1}));
+  EXPECT_EQ(p.machines(), (std::vector<int>{2, 1}));
+  EXPECT_EQ(p.initial_ready_times(), (std::vector<double>{5.0, 7.0}));
+  EXPECT_DOUBLE_EQ(p.etc_at(0, 1), 2.0);  // task 0 on slot 1 (= m1)
+}
+
+TEST(Problem, WithoutMachineEqualsInPlaceRemoval) {
+  const EtcMatrix m = matrix3x3();
+  const Problem p(m, {2, 0, 1}, {0, 1, 2}, {1.0, 2.0, 3.0});
+  const Problem next = p.without_machine(2, {1, 2});
+  Problem shrunk = p;
+  shrunk.remove_machine(2, Rows{0, 2});
+  EXPECT_EQ(next.tasks(), shrunk.tasks());
+  EXPECT_EQ(next.machines(), shrunk.machines());
+  EXPECT_EQ(next.initial_ready_times(), shrunk.initial_ready_times());
+  EXPECT_EQ(next.tasks(), (std::vector<int>{0}));
+}
+
+TEST(Problem, WithoutMachineIgnoresForeignDropIds) {
+  const EtcMatrix m = matrix3x3();
+  const Problem p(m, {0, 2}, {0, 1});
+  const Problem next = p.without_machine(0, {1, 7, -3, 2});
+  EXPECT_EQ(next.tasks(), (std::vector<int>{0}));
+  EXPECT_EQ(next.machines(), (std::vector<int>{1}));
+}
+
+TEST(Problem, RemoveMachineRejectsBadSlotOrRowsAndLeavesProblemIntact) {
+  const EtcMatrix m = matrix3x3();
+  Problem p = Problem::full(m);
+  EXPECT_THROW(p.remove_machine(3, Rows{}), std::invalid_argument);
+  EXPECT_THROW(p.remove_machine(0, Rows{3}), std::invalid_argument);
+  EXPECT_THROW(p.remove_machine(0, Rows{1, 1}), std::invalid_argument);
+  EXPECT_THROW(p.remove_machine(0, Rows{2, 0}), std::invalid_argument);
+  EXPECT_EQ(p.tasks(), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(p.machines(), (std::vector<int>{0, 1, 2}));
+  p.remove_machine(0, Rows{0, 1, 2});
+  EXPECT_EQ(p.num_tasks(), 0u);
+  EXPECT_EQ(p.machines(), (std::vector<int>{1, 2}));
+}
+
+TEST(Problem, RejectsNonFiniteOrNegativeReadyTimes) {
+  const EtcMatrix m = matrix3x3();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(Problem(m, {0}, {0, 1}, {0.0, nan}), std::invalid_argument);
+  EXPECT_THROW(Problem(m, {0}, {0, 1}, {inf, 0.0}), std::invalid_argument);
+  EXPECT_THROW(Problem(m, {0}, {0, 1}, {0.0, -1.0}), std::invalid_argument);
+  EXPECT_NO_THROW(Problem(m, {0}, {0, 1}, {0.0, 1e300}));
+}
+
+TEST(Problem, RejectsColumnSumThatOverflows) {
+  // Three cells of 1e308 on two machines: machine 0 could reach 2e308.
+  const EtcMatrix m = EtcMatrix::from_rows({{1e308, 1e308}, {1e308, 1}});
+  EXPECT_THROW((void)Problem::full(m), std::invalid_argument);
+  try {
+    (void)Problem::full(m);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("machine 0"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Problem, OverflowBoundCountsOnlyTheProblemsTasksAndMachines) {
+  const EtcMatrix m = EtcMatrix::from_rows({{1e308, 1}, {1e308, 1}});
+  EXPECT_NO_THROW(Problem(m, {0}, {0, 1}));     // one task per column
+  EXPECT_NO_THROW(Problem(m, {0, 1}, {1}));     // the big column is absent
+  EXPECT_THROW(Problem(m, {0, 1}, {0, 1}), std::invalid_argument);
+  // The ready time counts toward the bound.
+  EXPECT_THROW(Problem(m, {0}, {0}, {1e308}), std::invalid_argument);
+  EXPECT_NO_THROW(Problem(m, {0}, {1}, {1e308}));
 }
 
 }  // namespace
