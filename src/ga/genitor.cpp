@@ -1,10 +1,12 @@
 #include "ga/genitor.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <stdexcept>
 
 #include "core/cancel.hpp"
+#include "core/check.hpp"
 #include "ga/operators.hpp"
 #include "heuristics/minmin.hpp"
 #include "obs/counters.hpp"
@@ -52,14 +54,26 @@ Schedule Genitor::do_map_seeded(const Problem& problem,
     std::copy(genes.begin(), genes.end(), row(r).begin());
     return r;
   };
-  Ranking ranking;
-  ranking.reserve(capacity);
+  Ranking ranking(capacity);
+  last_run_ = RunStats{};
   const auto insert = [&](std::uint32_t r) {
-    rank_insert(ranking, capacity, evaluator.makespan(row(r)), r, free_rows);
+    ++last_run_.evaluations;
+    ranking.insert(evaluator.makespan(row(r)), r, free_rows);
+  };
+  // An offspring that no operator changed is a copy of its parent, and a
+  // copy's fold adds the same values in the same order: its makespan is the
+  // parent's, bit for bit.
+  const auto inherit = [&](std::uint32_t r, const Ranked& parent) {
+    HCSCHED_INVARIANT(std::bit_cast<std::uint64_t>(
+                          evaluator.makespan(row(r))) ==
+                          std::bit_cast<std::uint64_t>(parent.makespan),
+                      "row ", r, " inherits makespan ", parent.makespan,
+                      " but folds to ", evaluator.makespan(row(r)));
+    ++last_run_.inherited;
+    ranking.insert(parent.makespan, r, free_rows);
   };
   const auto select = [&] {
-    return row(ranking[select_rank(ranking.size(), config_.selection_bias,
-                                   rng)].row);
+    return ranking[select_rank(ranking.size(), config_.selection_bias, rng)];
   };
 
   if (seed != nullptr) {
@@ -77,7 +91,6 @@ Schedule Genitor::do_map_seeded(const Problem& problem,
     insert(r);
   }
 
-  last_run_ = RunStats{};
   last_run_.initial_best = ranking.front().makespan;
 
   double best = ranking.front().makespan;
@@ -91,17 +104,27 @@ Schedule Genitor::do_map_seeded(const Problem& problem,
     // Crossover trial (Figure 1, step 3a). Both offspring are written before
     // either is inserted: the first insert may evict a parent's row.
     HCSCHED_COUNT(obs::Counter::kGaCrossovers);
-    const std::uint32_t oa = claim_row(select());
-    const std::uint32_t ob = claim_row(select());
-    crossover(row(oa), row(ob), rng);
-    insert(oa);
-    insert(ob);
+    const Ranked pa = select();
+    const std::uint32_t oa = claim_row(row(pa.row));
+    const Ranked pb = select();
+    const std::uint32_t ob = claim_row(row(pb.row));
+    if (crossover(row(oa), row(ob), rng)) {
+      insert(oa);
+      insert(ob);
+    } else {
+      inherit(oa, pa);
+      inherit(ob, pb);
+    }
 
     // Mutation trial (Figure 1, step 3b).
     HCSCHED_COUNT(obs::Counter::kGaMutations);
-    const std::uint32_t mutant = claim_row(select());
-    mutate(row(mutant), machines, rng);
-    insert(mutant);
+    const Ranked parent = select();
+    const std::uint32_t mutant = claim_row(row(parent.row));
+    if (mutate(row(mutant), machines, rng) != kNpos) {
+      insert(mutant);
+    } else {
+      inherit(mutant, parent);
+    }
 
     if (ranking.front().makespan < best) {
       best = ranking.front().makespan;

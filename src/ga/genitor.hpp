@@ -8,8 +8,11 @@
 // returned mapping's makespan never exceeds any seed's.
 //
 // A step allocates nothing: chromosomes are rows of one flat gene pool, the
-// population is a Ranking of them, and one Evaluator computes makespans. The
-// RNG draw order is a contract (docs/ALGORITHMS.md, Genitor).
+// population is a Ranking of them, and one Evaluator computes makespans.
+// Only chromosomes the operators changed are folded: an offspring whose
+// crossover swapped equal prefixes, or whose mutation redrew the gene's own
+// slot, is a copy of its parent and inherits the parent's makespan. The RNG
+// draw order is a contract (docs/ALGORITHMS.md, Genitor).
 //
 // In the iterative technique, `map_seeded` injects the previous iteration's
 // mapping (its restriction to the surviving machines) into the initial
@@ -54,14 +57,19 @@ class Genitor final : public heuristics::Heuristic {
   const GenitorConfig& config() const noexcept { return config_; }
 
   /// Statistics of the last map() call (steps run, improving steps, first
-  /// and last best makespan): the only view of early stopping and
-  /// cancellation that survives HCSCHED_TRACE=0, where the ga_steps
-  /// counter compiles out.
+  /// and last best makespan, makespans folded and inherited): the only view
+  /// of early stopping, cancellation and evaluation work that survives
+  /// HCSCHED_TRACE=0, where the ga_steps counter compiles out. Every
+  /// initial member is folded, and each step adds three newcomers, each
+  /// folded or inherited: evaluations + inherited = population_size +
+  /// 3 * steps_executed.
   struct RunStats {
     std::size_t steps_executed = 0;
     std::size_t improvements = 0;
     double initial_best = 0.0;
     double final_best = 0.0;
+    std::size_t evaluations = 0;
+    std::size_t inherited = 0;
   };
   // lint:allow(dead-symbol) — convergence record, see RunStats
   const RunStats& last_run() const noexcept { return last_run_; }

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <limits>
+#include <numeric>
 #include <string>
 
 #include "core/iterative.hpp"
@@ -21,7 +23,7 @@ using hcsched::ga::Chromosome;
 using hcsched::ga::Evaluator;
 using hcsched::ga::Genitor;
 using hcsched::ga::GenitorConfig;
-using hcsched::ga::rank_insert;
+using hcsched::ga::Ranked;
 using hcsched::ga::Ranking;
 using hcsched::ga::select_rank;
 using hcsched::rng::Rng;
@@ -77,7 +79,7 @@ TEST(Operators, CrossoverExchangesPrefix) {
   std::vector<std::uint32_t> x{0, 0, 0, 0, 0};
   std::vector<std::uint32_t> y{1, 1, 1, 1, 1};
   Rng rng(6);
-  hcsched::ga::crossover(x, y, rng);
+  EXPECT_TRUE(hcsched::ga::crossover(x, y, rng));
   // Per-position: each offspring holds one parent's gene and the genes are
   // complementary.
   std::size_t boundary_changes = 0;
@@ -94,6 +96,40 @@ TEST(Operators, CrossoverSizeMismatchThrows) {
   std::vector<std::uint32_t> b{1};
   Rng rng(7);
   EXPECT_THROW(hcsched::ga::crossover(a, b, rng), std::invalid_argument);
+}
+
+TEST(Operators, CrossoverOfEqualPrefixesChangesNothing) {
+  // The parents differ only in the last gene, which no cut in [1, n-1]
+  // swaps. The cut is still drawn, so the stream advances as for a swap.
+  std::vector<std::uint32_t> x{2, 2, 2, 2, 0};
+  std::vector<std::uint32_t> y{2, 2, 2, 2, 1};
+  Rng rng(6);
+  Rng twin(6);
+  EXPECT_FALSE(hcsched::ga::crossover(x, y, rng));
+  EXPECT_EQ(x, (std::vector<std::uint32_t>{2, 2, 2, 2, 0}));
+  EXPECT_EQ(y, (std::vector<std::uint32_t>{2, 2, 2, 2, 1}));
+  (void)twin.below(4);
+  EXPECT_EQ(rng.next_u64(), twin.next_u64());
+  std::vector<std::uint32_t> one{3};
+  std::vector<std::uint32_t> other{4};
+  EXPECT_FALSE(hcsched::ga::crossover(one, other, rng));
+  EXPECT_EQ(rng.next_u64(), twin.next_u64());  // n < 2 draws nothing
+}
+
+TEST(Operators, MutateOfOwnSlotChangesNothing) {
+  // With one slot every redraw is the gene's own; both draws still happen.
+  std::vector<std::uint32_t> c{0, 0, 0};
+  Rng rng(8);
+  Rng twin(8);
+  EXPECT_EQ(hcsched::ga::mutate(c, 1, rng), hcsched::ga::kNpos);
+  EXPECT_EQ(c, (std::vector<std::uint32_t>{0, 0, 0}));
+  (void)twin.below(3);
+  (void)twin.below(1);
+  EXPECT_EQ(rng.next_u64(), twin.next_u64());
+  // An empty chromosome draws nothing.
+  std::vector<std::uint32_t> empty;
+  EXPECT_EQ(hcsched::ga::mutate(empty, 4, rng), hcsched::ga::kNpos);
+  EXPECT_EQ(rng.next_u64(), twin.next_u64());
 }
 
 TEST(Operators, MutateChangesExactlyOneGeneSlot) {
@@ -120,25 +156,116 @@ std::string show(const Ranking& ranking) {
 }
 
 TEST(Population, KeepsSortedAndBounded) {
-  Ranking ranking;
+  Ranking ranking(3);
   std::vector<std::uint32_t> freed;
-  rank_insert(ranking, 3, 5.0, 0, freed);
-  rank_insert(ranking, 3, 2.0, 1, freed);
-  rank_insert(ranking, 3, 8.0, 2, freed);
+  ranking.insert(5.0, 0, freed);
+  ranking.insert(2.0, 1, freed);
+  ranking.insert(8.0, 2, freed);
   EXPECT_EQ(show(ranking), "2:1 5:0 8:2 ");
   EXPECT_TRUE(freed.empty());
   // Overflow: inserting 1.0 evicts the last entry.
-  rank_insert(ranking, 3, 1.0, 3, freed);
+  ranking.insert(1.0, 3, freed);
   EXPECT_EQ(show(ranking), "1:3 2:1 5:0 ");
   // Inserting something worse than the worst evicts the newcomer itself.
-  rank_insert(ranking, 3, 9.0, 4, freed);
+  ranking.insert(9.0, 4, freed);
   EXPECT_EQ(show(ranking), "1:3 2:1 5:0 ");
   // A newcomer goes before equal makespans: a tie with the worst evicts the
   // incumbent, and a tie inside the ranking ranks the newcomer first.
-  rank_insert(ranking, 3, 5.0, 5, freed);
-  rank_insert(ranking, 3, 2.0, 6, freed);
+  ranking.insert(5.0, 5, freed);
+  ranking.insert(2.0, 6, freed);
   EXPECT_EQ(show(ranking), "1:3 2:6 2:1 ");
   EXPECT_EQ(freed, (std::vector<std::uint32_t>{2, 4, 0, 5}));
+}
+
+// The sorted-vector rank array the window replaced, kept as the oracle of
+// Ranking::insert.
+void vector_rank_insert(std::vector<Ranked>& ranking, std::size_t capacity,
+                        double makespan, std::uint32_t row,
+                        std::vector<std::uint32_t>& free_rows) {
+  if (ranking.size() >= capacity) {
+    if (makespan > ranking.back().makespan) {
+      free_rows.push_back(row);
+      return;
+    }
+    free_rows.push_back(ranking.back().row);
+    ranking.pop_back();
+  }
+  const auto pos = std::lower_bound(
+      ranking.begin(), ranking.end(), makespan,
+      [](const Ranked& member, double m) { return member.makespan < m; });
+  ranking.insert(pos, {makespan, row});
+}
+
+bool same_members(const Ranking& window, const std::vector<Ranked>& oracle) {
+  return std::equal(window.begin(), window.end(), oracle.begin(),
+                    oracle.end(), [](const Ranked& a, const Ranked& b) {
+                      return a.makespan == b.makespan && a.row == b.row;
+                    });
+}
+
+TEST(Population, WindowMatchesSortedVector) {
+  // Makespans from a five-value set so that ties dominate, as they do in a
+  // converged population; rows are unique so every order difference shows.
+  constexpr double kValues[] = {1.0, 2.0, 2.5, 3.0, 7.0};
+  Rng rng(20);
+  std::uint32_t next_row = 0;
+  std::size_t inserts = 0;
+  for (const std::size_t capacity : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 100u}) {
+    Ranking window(capacity);
+    std::vector<Ranked> oracle;
+    std::vector<std::uint32_t> window_freed;
+    std::vector<std::uint32_t> oracle_freed;
+    const std::size_t count = capacity == 100 ? 40000 : 10000;
+    for (std::size_t i = 0; i < count; ++i, ++inserts) {
+      const double makespan = kValues[rng.below(std::size(kValues))];
+      window.insert(makespan, next_row, window_freed);
+      vector_rank_insert(oracle, capacity, makespan, next_row, oracle_freed);
+      ++next_row;
+      ASSERT_TRUE(same_members(window, oracle))
+          << "capacity " << capacity << ", insert " << i;
+      ASSERT_EQ(window_freed, oracle_freed)
+          << "capacity " << capacity << ", insert " << i;
+      ASSERT_EQ(window.size(), oracle.size());
+    }
+  }
+  EXPECT_GE(inserts, 100000u);
+}
+
+TEST(Population, WindowShiftsEitherSide) {
+  // A back-half insert shifts the members behind it; a front-half insert
+  // shifts the members before it. Both keep every member in rank order.
+  Ranking ranking(6);
+  std::vector<std::uint32_t> freed;
+  for (std::uint32_t r = 0; r < 5; ++r) ranking.insert(r + 1.0, r, freed);
+  ranking.insert(4.5, 5, freed);  // rank 4 of 5: the back side is shorter
+  EXPECT_EQ(show(ranking), "1:0 2:1 3:2 4:3 4:5 5:4 ");
+  ranking.insert(1.5, 6, freed);  // rank 1 of 6, full: front side shifts
+  EXPECT_EQ(show(ranking), "1:0 1:6 2:1 3:2 4:3 4:5 ");
+  EXPECT_EQ(freed, (std::vector<std::uint32_t>{4}));
+  EXPECT_EQ(ranking[1].row, 6u);
+}
+
+TEST(Population, WindowRecentresAfterFrontInserts) {
+  // Each rank-0 insert into a full ranking moves the window one entry to
+  // the front; after `capacity` of them the front has no spare entry left
+  // and the next one re-centres the window.
+  constexpr std::size_t kCapacity = 4;
+  Ranking ranking(kCapacity);
+  std::vector<std::uint32_t> freed;
+  for (std::uint32_t r = 0; r < kCapacity; ++r) {
+    ranking.insert(100.0, r, freed);
+  }
+  for (std::uint32_t r = kCapacity; r < 4 * kCapacity; ++r) {
+    ranking.insert(100.0 - r, r, freed);
+    EXPECT_EQ(ranking.front().row, r);
+    EXPECT_EQ(ranking.size(), kCapacity);
+  }
+  EXPECT_EQ(show(ranking), "85:15 86:14 87:13 88:12 ");
+  // The initial members tie, so the first one inserted ranks last and
+  // leaves first; after it, each member leaves in the order it came.
+  std::vector<std::uint32_t> order(3 * kCapacity);
+  std::iota(order.begin(), order.end(), 0U);
+  EXPECT_EQ(freed, order);
 }
 
 TEST(Population, SelectionPrefersGoodRanks) {
@@ -156,6 +283,7 @@ TEST(Population, SelectionPrefersGoodRanks) {
 TEST(Population, RejectsBadConfig) {
   Rng rng(1);
   EXPECT_THROW((void)select_rank(0, 1.5, rng), std::logic_error);
+  EXPECT_THROW(Ranking{0}, std::invalid_argument);
   for (std::size_t size : {0u, 1u}) {
     GenitorConfig cfg;
     cfg.population_size = size;
@@ -290,6 +418,10 @@ void expect_golden(const Genitor& genitor, const Schedule& s,
   EXPECT_EQ(got.improvements, want.improvements);
   EXPECT_EQ(got.initial_bits, want.initial_bits);
   EXPECT_EQ(got.final_bits, want.final_bits);
+  // Work count: every initial member is folded, and each step's three
+  // newcomers are folded or inherit their parent's makespan.
+  EXPECT_EQ(run.evaluations + run.inherited,
+            genitor.config().population_size + 3 * run.steps_executed);
 }
 
 TEST(Genitor, GoldenUnseeded) {
@@ -302,6 +434,8 @@ TEST(Genitor, GoldenUnseeded) {
                   0, 4, 0, 2, 3, 3, 1, 5, 0, 5, 4, 3},
                  0x409a777c58e4d05fULL, 2000, 4, 0x40a29b454f36eff7ULL,
                  0x409a777c58e4d05fULL});
+  // A converged population breeds copies: some newcomers skip their fold.
+  EXPECT_GT(genitor.last_run().inherited, 0u);
 }
 
 TEST(Genitor, GoldenSeededWithRestrictedMapping) {
@@ -368,6 +502,27 @@ TEST(Genitor, GoldenSingleMachine) {
   expect_golden(genitor, s,
                 {std::vector<int>(24, 0), 0x40d48470b0a8c944ULL, 40, 0,
                  0x40d48470b0a8c944ULL, 0x40d48470b0a8c944ULL});
+  // Every chromosome is the same, so only the initial members are folded.
+  EXPECT_EQ(genitor.last_run().evaluations, 10u);
+}
+
+TEST(Genitor, GoldenNoTasks) {
+  // T = 0: the iterative technique reaches a problem with no tasks when the
+  // makespan machine owned every task. Every step runs and draws only its
+  // three parent selections: no cut, no gene, no slot.
+  const EtcMatrix m = random_matrix(2012, 24, 6);
+  const Problem full = Problem::full(m);
+  const Genitor genitor;
+  TieBreaker ties;
+  const Schedule idle = genitor.map(Problem(m, {}, full.machines()), ties);
+  expect_golden(genitor, idle, {{}, 0x0ULL, 2000, 0, 0x0ULL, 0x0ULL});
+  EXPECT_EQ(genitor.last_run().evaluations, 100u);
+  const Schedule ready = genitor.map(
+      Problem(m, {}, full.machines(), {3.5, 0.0, 12.25, 7.0, 0.0, 1.0}),
+      ties);
+  expect_golden(genitor, ready,
+                {{}, 0x4028800000000000ULL, 2000, 0, 0x4028800000000000ULL,
+                 0x4028800000000000ULL});
 }
 
 }  // namespace
