@@ -1,7 +1,6 @@
 #include "core/iterative.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -129,17 +128,13 @@ IterativeResult IterativeMinimizer::run(const Heuristic& heuristic,
   // The one copy of the problem; each round shrinks it in place.
   Problem current = problem;
   // Incremental machine-removal state for the fastpath kernels: the view of
-  // the current problem's ETC cells is compacted in place each round
-  // instead of re-gathered. The heuristic is still invoked through its
-  // normal NVI entry (instrumentation and fault-injection sites stay), and
-  // kernels that don't recognize the problem simply ignore the context —
-  // equivalence never depends on it (reuse.hpp).
-  std::optional<heuristics::fastpath::IterativeReuse> reuse;
-  std::optional<heuristics::fastpath::ScopedReuse> reuse_scope;
-  if (heuristics::fastpath::enabled()) {
-    reuse.emplace(current);
-    reuse_scope.emplace(*reuse);
-  }
+  // `current`'s ETC cells, gathered by the first kernel that reads it, is
+  // compacted in place each round instead of re-gathered. The heuristic is
+  // still invoked through its normal NVI entry (instrumentation and
+  // fault-injection sites stay), and code that never asks for the view
+  // never pays for it — equivalence never depends on it (reuse.hpp).
+  heuristics::fastpath::IterativeReuse reuse(current);
+  const heuristics::fastpath::ScopedReuse reuse_scope(reuse);
   // Positions in current.tasks() of the frozen machine's tasks.
   std::vector<std::size_t> removed_rows;
   removed_rows.reserve(current.num_tasks());
@@ -220,7 +215,7 @@ IterativeResult IterativeMinimizer::run(const Heuristic& heuristic,
         "iteration ", index, " dropped ", removed_rows.size(),
         " tasks, not the frozen machine's ",
         done.schedule.tasks_on(done.makespan_machine).size());
-    if (reuse.has_value()) reuse->apply_removal(slot, removed_rows);
+    reuse.apply_removal(slot, removed_rows);
   }
 #if HCSCHED_TRACE
   if (obs::Tracer::active()) {

@@ -42,6 +42,7 @@ class EtcView {
   void compact(std::size_t slot, std::span<const std::size_t> drop_rows);
 
   std::size_t num_tasks() const noexcept { return tasks_; }
+  std::size_t num_slots() const noexcept { return slots_; }
 
   /// ETC row of the task at position `task_pos` in problem.tasks(), indexed
   /// by machine slot. Hot-path accessor: `task_pos` must be in range.

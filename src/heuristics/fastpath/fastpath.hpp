@@ -72,8 +72,10 @@ class ScopedMode {
 Schedule two_phase_greedy_fast(const Problem& problem, TieBreaker& ties,
                                bool prefer_largest);
 
-/// Sufferage: cached per-task (best, second-best) completion pairs with
-/// single-machine invalidation across passes.
+/// Sufferage: one fused best-two / epsilon-tied scan of each pending task's
+/// view row per pass. Nothing is cached across passes: every task that
+/// survives a pass lost a slot from its tied set that then commits, so its
+/// scan is stale anyway (sufferage_fast.cpp).
 Schedule sufferage_fast(const Problem& problem, TieBreaker& ties,
                         SufferageRequeue requeue,
                         std::vector<SufferageStep>* trace);

@@ -43,8 +43,12 @@ Schedule kpb_fast(const Problem& problem, TieBreaker& ties,
   HCSCHED_SPAN_ATTR(kernel_span, "machines", obs::JsonValue(m));
   HCSCHED_SPAN_ATTR(kernel_span, "k", obs::JsonValue(k));
 
+  // The iterative context, looked up once: its view, and its cached
+  // rankings when this mapping is an iteration of the minimizer.
   Workspace& ws = thread_workspace();
-  const EtcView& view = acquire_view(problem, ws.scratch_view);
+  IterativeReuse* const reuse = active_reuse(problem);
+  if (reuse == nullptr) ws.scratch_view.assign(problem);
+  const EtcView& view = reuse != nullptr ? reuse->view() : ws.scratch_view;
 
   ws.doubles.reset(m + k);
   ws.indices.reset(m);
@@ -54,9 +58,8 @@ Schedule kpb_fast(const Problem& problem, TieBreaker& ties,
   std::copy(problem.initial_ready_times().begin(),
             problem.initial_ready_times().end(), ready.begin());
 
-  // Ranking source: the iterative context's cache when this mapping is an
-  // iteration of the minimizer, else a per-task partial sort.
-  IterativeReuse* const reuse = active_reuse(problem);
+  // Ranking source: the iterative context's cache, else a per-task partial
+  // sort.
   const std::uint32_t* cache = nullptr;
   if (reuse != nullptr) {
     std::vector<std::uint32_t>& rankings = reuse->rankings();

@@ -52,26 +52,21 @@ double max_value(const double* v, std::size_t n) noexcept {
 }
 
 // The classic strict-< best-two fold. `second` carries multiplicity (a
-// duplicated minimum makes second == best) and `sslot` always differs from
-// `bslot`: the first branch moves the old best slot into sslot before bslot
-// advances, the second branch stores an index the first branch rejected.
+// duplicated minimum makes second == best).
 SufferageScan sufferage_scan(const double* ready, const double* etc,
                              std::size_t n, double eps,
                              std::size_t* tied) noexcept {
   double best = ready[0] + etc[0];
   double second = std::numeric_limits<double>::infinity();
   std::size_t bslot = 0;
-  std::size_t sslot = 0;
   for (std::size_t i = 1; i < n; ++i) {
     const double x = ready[i] + etc[i];
     if (x < best) {
       second = best;
-      sslot = bslot;
       best = x;
       bslot = i;
     } else if (x < second) {
       second = x;
-      sslot = i;
     }
   }
   std::size_t tcount = 0;
@@ -86,7 +81,7 @@ SufferageScan sufferage_scan(const double* ready, const double* etc,
       if (ready[i] + etc[i] - best <= eps) tied[tcount++] = i;
     }
   }
-  return SufferageScan{best, n == 1 ? best : second, bslot, sslot, tcount};
+  return SufferageScan{best, n == 1 ? best : second, bslot, tcount};
 }
 
 const char* active_lanes() noexcept { return "scalar"; }

@@ -29,25 +29,21 @@ struct SufferageScan {
   double min1;             ///< exact minimum score
   double min2;             ///< min over i != min1_slot (== min1 when n == 1)
   std::size_t min1_slot;   ///< FIRST slot attaining min1
-  std::size_t min2_slot;   ///< some slot != min1_slot attaining min2
-                           ///< (0, unused, when n == 1)
   std::size_t tied_count;  ///< slots written to `tied`
 };
 
 /// Fused single-call Sufferage row scan: exact minimum with its first
 /// attaining slot, the minimum over the remaining slots (the reference's
 /// "second best" with multiplicity — a duplicated minimum yields
-/// min2 == min1) with one attaining slot, and the ascending list of
-/// epsilon-tied slots written to `tied` (capacity n).
+/// min2 == min1), and the ascending list of epsilon-tied slots written to
+/// `tied` (capacity n).
 ///
 /// The tie predicate is (x[i] - min1) <= eps, bit-identical to
 /// TieBreaker::tied(min1, x[i]) = |min1 - x[i]| <= eps because min1 is the
 /// exact minimum (so x[i] - min1 >= 0 holds for the rounded difference too:
 /// rounding is monotone and IEEE negation is exact). min1_slot is the first
-/// attaining slot — the same index the reference's strict-< fold tracks —
-/// while min2_slot may be ANY attaining slot: the Sufferage kernel only uses
-/// it for cache invalidation, where any witness of min2 is equally sound
-/// (see sufferage_fast.cpp). n must be >= 1; eps must be non-negative.
+/// attaining slot — the same index the reference's strict-< fold tracks.
+/// n must be >= 1; eps must be non-negative.
 SufferageScan sufferage_scan(const double* ready, const double* etc,
                              std::size_t n, double eps,
                              std::size_t* tied) noexcept;

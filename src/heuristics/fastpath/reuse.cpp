@@ -1,5 +1,7 @@
 #include "heuristics/fastpath/reuse.hpp"
 
+#include "core/check.hpp"
+
 namespace hcsched::heuristics::fastpath {
 
 namespace {
@@ -8,20 +10,18 @@ thread_local IterativeReuse* g_active = nullptr;
 
 }  // namespace
 
-IterativeReuse::IterativeReuse(const sched::Problem& initial)
-    : mirror_(initial), view_(initial) {}
-
 void IterativeReuse::apply_removal(std::size_t slot,
                                    std::span<const std::size_t> rows) {
-  const std::size_t old_t = mirror_.num_tasks();
-  const std::size_t old_m = mirror_.num_machines();
-  mirror_.remove_machine(slot, rows);
-  view_.compact(slot, rows);
+  const std::size_t t = current_->num_tasks();
+  const std::size_t m = current_->num_machines();
+  if (view_built_) view_.compact(slot, rows);
 
   if (rankings_built_) {
     // Keep each surviving row's relative order and renumber slots past the
     // removed one — exactly what a fresh (ETC, slot) sort of the shrunk row
     // would produce, since dropping one key preserves the order of the rest.
+    const std::size_t old_t = t + rows.size();
+    const std::size_t old_m = m + 1;
     const std::uint32_t gone = static_cast<std::uint32_t>(slot);
     const std::uint32_t* in = rankings_.data();
     std::uint32_t* out = rankings_.data();
@@ -37,13 +37,23 @@ void IterativeReuse::apply_removal(std::size_t slot,
         *out++ = s > gone ? s - 1 : s;
       }
     }
-    rankings_.resize(mirror_.num_tasks() * mirror_.num_machines());
+    rankings_.resize(t * m);
   }
 }
 
-bool IterativeReuse::matches(const sched::Problem& p) const noexcept {
-  return &p.matrix() == &mirror_.matrix() && p.tasks() == mirror_.tasks() &&
-         p.machines() == mirror_.machines();
+const EtcView& IterativeReuse::view() {
+  if (!view_built_) {
+    view_.assign(*current_);
+    view_built_ = true;
+  }
+  // A removal of `current` that apply_removal missed shows up here first.
+  HCSCHED_INVARIANT(view_.num_tasks() == current_->num_tasks() &&
+                        view_.num_slots() == current_->num_machines(),
+                    "IterativeReuse: view is ", view_.num_tasks(), " x ",
+                    view_.num_slots(), ", problem is ",
+                    current_->num_tasks(), " x ",
+                    current_->num_machines());
+  return view_;
 }
 
 ScopedReuse::ScopedReuse(IterativeReuse& reuse) noexcept
@@ -59,7 +69,7 @@ IterativeReuse* active_reuse(const sched::Problem& problem) noexcept {
 }
 
 const EtcView& acquire_view(const sched::Problem& problem, EtcView& scratch) {
-  if (const IterativeReuse* r = active_reuse(problem)) return r->view();
+  if (IterativeReuse* r = active_reuse(problem)) return r->view();
   scratch.assign(problem);
   return scratch;
 }

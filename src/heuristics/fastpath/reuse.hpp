@@ -1,24 +1,28 @@
 // Incremental state carried across the iterative technique's iterations.
 //
 // IterativeMinimizer re-runs the heuristic after removing the makespan
-// machine; the heuristic's input shrinks by exactly one machine column and
-// exactly the rows of the tasks that machine held, with every surviving
-// cell unchanged. IterativeReuse exploits that: it owns the EtcView of the
-// current iteration's problem and, on each removal (the slot and task rows
-// the minimizer also removes from its Problem), compacts it in place
+// machine; its one Problem (`current`) shrinks in place by exactly one
+// machine column and exactly the rows of the tasks that machine held, with
+// every surviving cell unchanged. IterativeReuse exploits that: it holds the
+// EtcView of `current` and, on each removal (the slot and task rows the
+// minimizer also removes from `current`), compacts it in place
 // (EtcView::compact) instead of re-gathering T x M cells from the matrix —
 // plus the KPB per-task machine rankings, which survive slot removal by
 // order-preserving compaction (docs/FASTPATH.md "Incremental iteration").
+// Both are built lazily, on the first kernel that asks for them, so a
+// heuristic that never reads the view (MET, MCT, OLB, Genitor, ...) never
+// pays for a gather or a compaction.
 //
 // Wiring is deliberately loose: the minimizer installs a thread-local
 // pointer (ScopedReuse) and keeps calling Heuristic::map() — so the NVI
 // instrumentation and fault-injection sites are untouched — while the
 // kernels opportunistically pick the view up through active_reuse(), which
-// validates that the problem being mapped is exactly the one the view
-// mirrors (same matrix, same task list, same machine list). Any mismatch —
-// a Segmented sub-problem, a nested study, a heuristic mapping something
-// else — silently falls back to a local gather, so reuse is an optimization
-// the equivalence guarantee never depends on.
+// matches by identity: the problem being mapped must be `current` itself.
+// `current` changes only through Problem::remove_machine, which
+// apply_removal follows in lockstep, so identity is exact. Anything else —
+// a Segmented sub-problem, a nested study, an equal-valued copy — falls
+// back to a local gather, so reuse is an optimization the equivalence
+// guarantee never depends on.
 #pragma once
 
 #include <cstdint>
@@ -32,18 +36,24 @@ namespace hcsched::heuristics::fastpath {
 
 class IterativeReuse {
  public:
-  explicit IterativeReuse(const sched::Problem& initial);
+  /// Follows `current`, which must outlive this context and change only
+  /// through remove_machine calls each followed by apply_removal.
+  explicit IterativeReuse(const sched::Problem& current) noexcept
+      : current_(&current) {}
 
-  /// Advance past one removal step: the machine at `slot` and the tasks at
-  /// positions `rows` (strictly ascending) leave, exactly as
-  /// Problem::remove_machine(slot, rows) does to the mirrored problem.
-  /// Compacts the view and, when built, the KPB rankings in place.
+  /// Advance past one removal step, called right after
+  /// current.remove_machine(slot, rows): the machine at `slot` and the
+  /// tasks at positions `rows` (strictly ascending) left. Compacts the view
+  /// and the KPB rankings in place, each only if built.
   void apply_removal(std::size_t slot, std::span<const std::size_t> rows);
 
-  /// True when `p` is exactly the problem this view mirrors.
-  bool matches(const sched::Problem& p) const noexcept;
+  /// True when `p` is the problem this context follows (the same object).
+  bool matches(const sched::Problem& p) const noexcept {
+    return &p == current_;
+  }
 
-  const EtcView& view() const noexcept { return view_; }
+  /// The view of the followed problem, gathered on first use.
+  const EtcView& view();
 
   /// KPB ranking cache: row t_pos holds every machine slot sorted by
   /// (ETC ascending, slot ascending) for that task — built lazily by the
@@ -54,8 +64,9 @@ class IterativeReuse {
   void mark_rankings_built() noexcept { rankings_built_ = true; }
 
  private:
-  sched::Problem mirror_;
-  EtcView view_;
+  const sched::Problem* current_;
+  EtcView view_{};
+  bool view_built_ = false;
   std::vector<std::uint32_t> rankings_{};
   bool rankings_built_ = false;
 };
@@ -72,11 +83,11 @@ class ScopedReuse {
   IterativeReuse* previous_;
 };
 
-/// The thread's active context when it mirrors `problem`, else nullptr.
+/// The thread's active context when it follows `problem`, else nullptr.
 IterativeReuse* active_reuse(const sched::Problem& problem) noexcept;
 
 /// The kernels' view source: the active context's incrementally-maintained
-/// view when one matches `problem`, otherwise a fresh gather into `scratch`.
+/// view when it follows `problem`, otherwise a fresh gather into `scratch`.
 const EtcView& acquire_view(const sched::Problem& problem, EtcView& scratch);
 
 }  // namespace hcsched::heuristics::fastpath

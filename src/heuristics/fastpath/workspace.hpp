@@ -6,8 +6,11 @@
 // the trial's exact element counts and carving its structure-of-arrays
 // slices from them; on the second and every later trial of a study cell the
 // backing vectors already have the capacity, so steady-state kernel
-// execution performs zero heap allocations. Thread-locality makes the
-// study driver's worker pool safe with no locks and no false sharing.
+// execution performs zero heap allocations. Three element types cover every
+// kernel: doubles (ready times, scores), 32-bit task positions and slots
+// (queues, claims) and size_t (tied-candidate lists, the form
+// TieBreaker::choose_among takes, and bitset words). Thread-locality makes
+// the study driver's worker pool safe with no locks and no false sharing.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +24,6 @@ struct Workspace {
   BumpPool<double> doubles;
   BumpPool<std::uint32_t> indices;
   BumpPool<std::size_t> positions;
-  BumpPool<unsigned char> flags;
   /// Local gather target when no iterative reuse view is active.
   EtcView scratch_view;
 };

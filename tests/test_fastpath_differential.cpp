@@ -20,7 +20,10 @@
 // (stems named for the fastpath-differential lint rule)
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -276,12 +279,91 @@ EtcMatrix cvb_matrix(std::uint64_t seed, std::size_t tasks,
   return hcsched::etc::CvbEtcGenerator(params).generate(rng);
 }
 
+/// `m` with each cell v replaced by ceil(v / 40): a few small integer
+/// levels, so most choices tie. A nonzero `jitter` then adds
+/// jitter * (cell index mod 4) to each cell, so tied scores can differ by
+/// less than TieBreaker epsilon instead of being equal.
+EtcMatrix tie_rich(const EtcMatrix& m, double jitter = 0.0) {
+  std::vector<double> cells(m.data().begin(), m.data().end());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    cells[i] = std::ceil(cells[i] / 40.0) +
+               jitter * static_cast<double>(i % 4);
+  }
+  return EtcMatrix::from_values(m.num_tasks(), m.num_machines(),
+                                std::move(cells));
+}
+
+#if HCSCHED_TRACE
+TEST(FastpathDifferential, SufferageWorkCountsPinned) {
+  // Per map, the Sufferage kernel rescans every pending task once per pass:
+  // one rescore and one TieBreaker decision each, never a replay, m cells a
+  // rescore. The pins are the counts of the kernel that still carried a
+  // replay cache, so they also show that dropping the cache changed no work.
+  namespace h = hcsched::heuristics;
+  namespace obs = hcsched::obs;
+  // {fastpath.rescores, heuristics.etc_cells}, in loop order.
+  constexpr std::uint64_t kPins[][2] = {
+      {1176, 1176}, {1176, 1176}, {1176, 1176}, {1176, 1176},  // seed 1, m 1
+      {340, 2040}, {340, 2040}, {340, 2040}, {340, 2040},      // m 6
+      {320, 1920}, {303, 1818}, {319, 1914}, {315, 1890},      // tie-rich
+      {1176, 1176}, {1176, 1176}, {1176, 1176}, {1176, 1176},  // seed 2, m 1
+      {334, 2004}, {334, 2004}, {334, 2004}, {334, 2004},      // m 6
+      {305, 1830}, {253, 1518}, {286, 1716}, {307, 1842},      // tie-rich
+  };
+  std::size_t next = 0;
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    for (const std::size_t machines : {std::size_t{1}, std::size_t{6}}) {
+      for (const bool rounded : {false, true}) {
+        if (machines == 1 && rounded) continue;
+        const EtcMatrix cvb = cvb_matrix(seed, 48, machines);
+        const EtcMatrix m = rounded ? tie_rich(cvb) : cvb;
+        const Problem problem = Problem::full(m);
+        for (const h::SufferageRequeue requeue :
+             {h::SufferageRequeue::kOriginalOrder,
+              h::SufferageRequeue::kEncounterOrder}) {
+          for (const bool random : {false, true}) {
+            const std::string where =
+                "seed " + std::to_string(seed) + ", m " +
+                std::to_string(machines) + (rounded ? ", tie-rich" : "") +
+                (requeue == h::SufferageRequeue::kOriginalOrder
+                     ? ", original order"
+                     : ", encounter order") +
+                (random ? ", random ties" : ", deterministic ties");
+            Rng rng(seed * 31);
+            TieBreaker ties = random ? TieBreaker(rng) : TieBreaker();
+            const auto before = obs::counters::snapshot();
+            (void)h::Sufferage(requeue).map(problem, ties);
+            const auto delta = obs::counters::snapshot().delta_since(before);
+            ASSERT_LT(next, std::size(kPins)) << where;
+            EXPECT_EQ(delta[obs::Counter::kFastpathRescores], kPins[next][0])
+                << where;
+            EXPECT_EQ(delta[obs::Counter::kFastpathRescores],
+                      delta[obs::Counter::kTieDecisions])
+                << where;
+            EXPECT_EQ(delta[obs::Counter::kFastpathReplays], 0u) << where;
+            EXPECT_EQ(delta[obs::Counter::kEtcCellEvaluations],
+                      kPins[next][1])
+                << where;
+            ++next;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(next, std::size(kPins));
+}
+#endif
+
 TEST(FastpathDifferential, SufferageEncounterOrderRequeueMatchesReference) {
   // The table adapter runs the default kOriginalOrder requeue; the EXT-7d
   // ablation knob must match too, including the pass-by-pass commit trace.
+  // Seeds 7 and 8 add near ties: a task's chosen slot is often not the
+  // first exact minimum, which takes the sufferage's other branch.
   namespace h = hcsched::heuristics;
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    const EtcMatrix m = cvb_matrix(seed, 30, 6, seed % 2 == 0 ? 3.0 : 100.0);
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const EtcMatrix cvb =
+        cvb_matrix(seed, 30, 6, seed % 2 == 0 ? 3.0 : 100.0);
+    const EtcMatrix m = seed > 6 ? tie_rich(cvb, 0.25e-9) : cvb;
     const Problem problem = Problem::full(m);
     Rng ref_rng(seed * 13);
     Rng fast_rng(seed * 13);

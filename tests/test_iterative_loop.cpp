@@ -11,16 +11,23 @@
 // heuristic, Genitor and Seeded<...>, on the paper's examples and on
 // tie-rich random instances.
 //
+// The lockstep test drives the minimizer's removal step by hand: after
+// every Problem::remove_machine and IterativeReuse::apply_removal pair, the
+// reuse context's view and KPB rankings must equal a fresh gather and sort
+// of the shrunk problem, and only that problem object may find the context.
+//
 // The seed-contract test pins the map_seeded contract the minimizer relies
 // on: every seed consumer returns the same mapping whether it gets the full
 // previous schedule or its restriction to the problem.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -28,6 +35,8 @@
 #include "core/paper_examples.hpp"
 #include "etc/cvb_generator.hpp"
 #include "ga/genitor.hpp"
+#include "heuristics/fastpath/etc_view.hpp"
+#include "heuristics/fastpath/reuse.hpp"
 #include "heuristics/registry.hpp"
 #include "heuristics/seeded.hpp"
 
@@ -44,6 +53,7 @@ using hcsched::rng::TieBreaker;
 using hcsched::sched::MachineId;
 using hcsched::sched::Problem;
 using hcsched::sched::Schedule;
+using hcsched::sched::TaskId;
 
 using Factory = std::function<std::unique_ptr<Heuristic>()>;
 
@@ -239,6 +249,72 @@ TEST(IterativeLoop, MatchesCopyingOracleOnTieRichRandomInstances) {
                  name + " (random ties)" + instance);
       check_case(*heuristic, problem, [](Rng&) { return TieBreaker(); },
                  name + " (deterministic ties)" + instance);
+    }
+  }
+}
+
+TEST(IterativeLoop, ReuseContextFollowsTheShrinkingProblemInLockstep) {
+  // The minimizer's two halves of one removal step, driven directly: the
+  // Problem shrinks in place and the reuse context compacts its view and KPB
+  // rankings by the same slot and rows. After every step both must still
+  // describe the same problem, and only that object may find the context.
+  namespace fastpath = hcsched::heuristics::fastpath;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const EtcMatrix matrix = tie_rich_matrix(seed * 6151, 24, 6);
+    const Problem unrelated =
+        Problem::full(tie_rich_matrix(seed * 6151 + 1, 24, 6));
+    Problem current = Problem::full(matrix);
+    fastpath::IterativeReuse reuse(current);
+    const fastpath::ScopedReuse scope(reuse);
+    // A KPB map of `current` gathers the view and builds the rankings.
+    Rng rng(seed);
+    TieBreaker ties(rng);
+    (void)hcsched::heuristics::make_heuristic("KPB")->map(current, ties);
+    for (std::size_t step = 0;; ++step) {
+      const std::string where =
+          "seed " + std::to_string(seed) + ", step " + std::to_string(step);
+      const Problem copy = current;
+      EXPECT_EQ(fastpath::active_reuse(current), &reuse) << where;
+      EXPECT_EQ(fastpath::active_reuse(copy), nullptr) << where;
+      EXPECT_EQ(fastpath::active_reuse(unrelated), nullptr) << where;
+
+      const std::size_t n = current.num_tasks();
+      const std::size_t m = current.num_machines();
+      const fastpath::EtcView& view = reuse.view();
+      ASSERT_EQ(view.num_tasks(), n) << where;
+      ASSERT_TRUE(reuse.rankings_built()) << where;
+      ASSERT_EQ(reuse.rankings().size(), n * m) << where;
+      for (std::size_t p = 0; p < n; ++p) {
+        const TaskId task = current.tasks()[p];
+        ASSERT_EQ(view.row(p).size(), m) << where;
+        for (std::size_t s = 0; s < m; ++s) {
+          EXPECT_EQ(view.row(p)[s], current.etc_at(task, s))
+              << where << ", row " << p << ", slot " << s;
+        }
+        std::vector<std::uint32_t> fresh(m);
+        std::iota(fresh.begin(), fresh.end(), std::uint32_t{0});
+        std::sort(fresh.begin(), fresh.end(),
+                  [&](std::uint32_t a, std::uint32_t b) {
+                    const double ea = current.etc_at(task, a);
+                    const double eb = current.etc_at(task, b);
+                    return ea < eb || (ea == eb && a < b);
+                  });
+        const auto cached = reuse.rankings().begin() +
+                            static_cast<std::ptrdiff_t>(p * m);
+        EXPECT_TRUE(std::equal(fresh.begin(), fresh.end(), cached))
+            << where << ", rankings of row " << p;
+      }
+      if (m == 1) break;
+
+      // Remove a random slot and a random subset of task rows (possibly
+      // none, as when the removed machine held no task).
+      const std::size_t slot = static_cast<std::size_t>(rng.below(m));
+      std::vector<std::size_t> rows;
+      for (std::size_t p = 0; p < n; ++p) {
+        if (rng.below(m) == 0) rows.push_back(p);
+      }
+      current.remove_machine(slot, rows);
+      reuse.apply_removal(slot, rows);
     }
   }
 }
