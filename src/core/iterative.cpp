@@ -127,12 +127,12 @@ IterativeResult IterativeMinimizer::run(const Heuristic& heuristic,
 
   // The one copy of the problem; each round shrinks it in place.
   Problem current = problem;
-  // Incremental machine-removal state for the fastpath kernels: the view of
-  // `current`'s ETC cells, gathered by the first kernel that reads it, is
-  // compacted in place each round instead of re-gathered. The heuristic is
+  // Incremental machine-removal state for the fastpath kernels: KPB's
+  // per-task rankings of `current`, sorted by the first KPB map, are
+  // compacted in place each round instead of re-sorted. The heuristic is
   // still invoked through its normal NVI entry (instrumentation and
-  // fault-injection sites stay), and code that never asks for the view
-  // never pays for it — equivalence never depends on it (reuse.hpp).
+  // fault-injection sites stay), and code that never asks for the rankings
+  // never pays for them — equivalence never depends on them (reuse.hpp).
   heuristics::fastpath::IterativeReuse reuse(current);
   const heuristics::fastpath::ScopedReuse reuse_scope(reuse);
   // Positions in current.tasks() of the frozen machine's tasks.

@@ -18,10 +18,10 @@
 //
 // One run copies the input Problem once and then shrinks that copy in place
 // each round (Problem::remove_machine, on the task rows found by one
-// machine_of pass over the schedule); the fastpath kernels' ETC view, once
-// a kernel has gathered it, is compacted by the same slot and rows
-// (fastpath::IterativeReuse). Each round's Schedule is stored in its
-// IterationRecord.
+// machine_of pass over the schedule); KPB's cached machine rankings, once
+// its kernel has sorted them, are compacted by the same slot and rows
+// (fastpath::IterativeReuse). Every other kernel gathers its ETC rows afresh
+// each round. Each round's Schedule is stored in its IterationRecord.
 #pragma once
 
 #include <vector>

@@ -25,12 +25,21 @@ EtcMatrix flatten(const Rows& rows) {
 
 }  // namespace
 
+std::size_t EtcMatrix::cell_count(std::size_t num_tasks,
+                                  std::size_t num_machines) {
+  if (num_machines != 0 &&
+      num_tasks > std::numeric_limits<std::size_t>::max() / num_machines) {
+    throw std::invalid_argument("EtcMatrix: a " + std::to_string(num_tasks) +
+                                "x" + std::to_string(num_machines) +
+                                " matrix has more cells than size_t counts");
+  }
+  return num_tasks * num_machines;
+}
+
 EtcMatrix EtcMatrix::from_values(std::size_t num_tasks,
                                  std::size_t num_machines,
                                  std::vector<double> values) {
-  if ((num_machines != 0 &&
-       num_tasks > std::numeric_limits<std::size_t>::max() / num_machines) ||
-      values.size() != num_tasks * num_machines) {
+  if (values.size() != cell_count(num_tasks, num_machines)) {
     throw std::invalid_argument(
         "EtcMatrix::from_values: " + std::to_string(values.size()) +
         " values for a " + std::to_string(num_tasks) + "x" +

@@ -27,16 +27,17 @@ class EtcMatrix {
  public:
   EtcMatrix() = default;
 
-  /// Zero-initialized tasks x machines matrix.
+  /// Zero-initialized tasks x machines matrix. Throws std::invalid_argument,
+  /// allocating nothing, when tasks x machines overflows std::size_t.
   EtcMatrix(std::size_t num_tasks, std::size_t num_machines)
       : tasks_(num_tasks),
         machines_(num_machines),
-        values_(num_tasks * num_machines, 0.0) {}
+        values_(cell_count(num_tasks, num_machines), 0.0) {}
 
   /// The one validated construction path: a tasks x machines matrix over
-  /// row-major `values`. Throws std::invalid_argument when the size does not
-  /// match, or naming the row and column of the first cell that is not a
-  /// finite, non-negative time.
+  /// row-major `values`. Throws std::invalid_argument when tasks x machines
+  /// overflows or the size does not match, or naming the row and column of
+  /// the first cell that is not a finite, non-negative time.
   static EtcMatrix from_values(std::size_t num_tasks, std::size_t num_machines,
                                std::vector<double> values);
 
@@ -77,6 +78,10 @@ class EtcMatrix {
   bool operator==(const EtcMatrix& other) const = default;
 
  private:
+  /// num_tasks x num_machines; throws std::invalid_argument on overflow.
+  static std::size_t cell_count(std::size_t num_tasks,
+                                std::size_t num_machines);
+
   std::size_t index(TaskId task, MachineId machine) const {
     if (task < 0 || static_cast<std::size_t>(task) >= tasks_ || machine < 0 ||
         static_cast<std::size_t>(machine) >= machines_) {

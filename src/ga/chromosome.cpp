@@ -45,24 +45,14 @@ Schedule Chromosome::decode(const Problem& problem) const {
   return s;
 }
 
-Evaluator::Evaluator(const Problem& problem)
-    : problem_(problem), machines_(problem.num_machines()) {
-  etc_.reserve(problem.num_tasks() * machines_);
-  for (const auto task : problem.tasks()) {
-    for (std::size_t s = 0; s < machines_; ++s) {
-      etc_.push_back(problem.etc_at(task, s));
-    }
-  }
-}
-
 const std::vector<double>& Evaluator::loads(
     std::span<const std::uint32_t> genes) {
-  if (genes.size() != problem_.num_tasks()) {
+  if (genes.size() != etc_.num_tasks()) {
     throw std::invalid_argument("Evaluator: gene count mismatch");
   }
-  ready_ = problem_.initial_ready_times();
+  ready_ = initial_;
   for (std::size_t i = 0; i < genes.size(); ++i) {
-    ready_[genes[i]] += etc_[i * machines_ + genes[i]];
+    ready_[genes[i]] += etc_.row(i)[genes[i]];
   }
   return ready_;
 }

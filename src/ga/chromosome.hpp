@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "rng/rng.hpp"
+#include "sched/etc_view.hpp"
 #include "sched/schedule.hpp"
 
 namespace hcsched::ga {
@@ -43,17 +44,18 @@ class Chromosome {
   std::vector<std::uint32_t> genes_{};
 };
 
-/// The load fold of every mapping search, over a problem's ETC cells gathered
-/// once into a T×M array. A slot's load is its initial ready time plus its
-/// tasks' ETCs added in task order, as in the decoded Schedule, bit for bit.
+/// The load fold of every mapping search, over the problem's ETC rows
+/// gathered once (sched::EtcView). A slot's load is its initial ready time
+/// plus its tasks' ETCs added in task order, as in the decoded Schedule,
+/// bit for bit.
 class Evaluator {
  public:
-  /// `problem` must outlive the Evaluator.
-  explicit Evaluator(const Problem& problem);
+  explicit Evaluator(const Problem& problem)
+      : etc_(problem), initial_(problem.initial_ready_times()) {}
 
   /// problem.etc_at(problem.tasks()[i], slot).
   double etc(std::size_t i, std::size_t slot) const noexcept {
-    return etc_[i * machines_ + slot];
+    return etc_.row(i)[slot];
   }
 
   /// Load of every slot under `genes`, in a buffer reused by the next call.
@@ -63,9 +65,8 @@ class Evaluator {
   double makespan(std::span<const std::uint32_t> genes);
 
  private:
-  const Problem& problem_;
-  std::size_t machines_;
-  std::vector<double> etc_;
+  sched::EtcView etc_;
+  std::vector<double> initial_;
   std::vector<double> ready_;
 };
 

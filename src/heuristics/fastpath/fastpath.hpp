@@ -61,9 +61,11 @@ class ScopedMode {
 // completion-time vectors, identical TieBreaker decision and tie-event
 // counts, identical RNG/script consumption. Only the etc_cell_evaluations
 // counter may differ (it reports the work actually done, which is the
-// point). docs/FASTPATH.md carries the per-kernel equivalence arguments;
-// tests/test_fastpath_differential.cpp and tests/fastpath_fuzz.cpp enforce
-// them.
+// point). Each kernel gathers the problem's ETC rows once per call into a
+// local sched::EtcView; only KPB's rankings outlive a call
+// (reuse.hpp). docs/FASTPATH.md carries the per-kernel equivalence
+// arguments; tests/test_fastpath_differential.cpp and
+// tests/fastpath_fuzz.cpp enforce them.
 
 /// Two-phase greedy (Min-Min / Max-Min, and Duplex which runs both):
 /// cached phase-one decisions replayed until the updated machine slot

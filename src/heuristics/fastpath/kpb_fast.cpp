@@ -24,6 +24,7 @@
 #include "heuristics/fastpath/workspace.hpp"
 #include "obs/counters.hpp"
 #include "obs/span.hpp"
+#include "sched/etc_view.hpp"
 
 namespace hcsched::heuristics::fastpath {
 
@@ -43,12 +44,8 @@ Schedule kpb_fast(const Problem& problem, TieBreaker& ties,
   HCSCHED_SPAN_ATTR(kernel_span, "machines", obs::JsonValue(m));
   HCSCHED_SPAN_ATTR(kernel_span, "k", obs::JsonValue(k));
 
-  // The iterative context, looked up once: its view, and its cached
-  // rankings when this mapping is an iteration of the minimizer.
   Workspace& ws = thread_workspace();
-  IterativeReuse* const reuse = active_reuse(problem);
-  if (reuse == nullptr) ws.scratch_view.assign(problem);
-  const EtcView& view = reuse != nullptr ? reuse->view() : ws.scratch_view;
+  const sched::EtcView view(problem);
 
   ws.doubles.reset(m + k);
   ws.indices.reset(m);
@@ -58,10 +55,10 @@ Schedule kpb_fast(const Problem& problem, TieBreaker& ties,
   std::copy(problem.initial_ready_times().begin(),
             problem.initial_ready_times().end(), ready.begin());
 
-  // Ranking source: the iterative context's cache, else a per-task partial
-  // sort.
+  // Ranking source: the iterative context's cache when this mapping is an
+  // iteration of the minimizer, else a per-task partial sort.
   const std::uint32_t* cache = nullptr;
-  if (reuse != nullptr) {
+  if (IterativeReuse* const reuse = active_reuse(problem)) {
     std::vector<std::uint32_t>& rankings = reuse->rankings();
     if (!reuse->rankings_built()) {
       rankings.resize(n * m);
@@ -75,6 +72,9 @@ Schedule kpb_fast(const Problem& problem, TieBreaker& ties,
       }
       reuse->mark_rankings_built();
     }
+    // A removal of the problem that apply_removal missed shows up here.
+    HCSCHED_INVARIANT(rankings.size() == n * m, "kpb_fast: ", rankings.size(),
+                      " cached ranks for a ", n, " x ", m, " problem");
     cache = rankings.data();
   }
 

@@ -3,33 +3,29 @@
 // IterativeMinimizer re-runs the heuristic after removing the makespan
 // machine; its one Problem (`current`) shrinks in place by exactly one
 // machine column and exactly the rows of the tasks that machine held, with
-// every surviving cell unchanged. IterativeReuse exploits that: it holds the
-// EtcView of `current` and, on each removal (the slot and task rows the
-// minimizer also removes from `current`), compacts it in place
-// (EtcView::compact) instead of re-gathering T x M cells from the matrix —
-// plus the KPB per-task machine rankings, which survive slot removal by
-// order-preserving compaction (docs/FASTPATH.md "Incremental iteration").
-// Both are built lazily, on the first kernel that asks for them, so a
-// heuristic that never reads the view (MET, MCT, OLB, Genitor, ...) never
-// pays for a gather or a compaction.
+// every surviving cell unchanged. IterativeReuse carries the one piece of
+// kernel state that earns its keep across rounds: the KPB per-task machine
+// rankings, which survive slot removal by order-preserving compaction
+// (docs/FASTPATH.md "Incremental iteration"). They are built lazily, by the
+// first KPB map, so every other heuristic never pays for them. ETC rows are
+// not carried: each kernel gathers its own once per map.
 //
 // Wiring is deliberately loose: the minimizer installs a thread-local
 // pointer (ScopedReuse) and keeps calling Heuristic::map() — so the NVI
-// instrumentation and fault-injection sites are untouched — while the
-// kernels opportunistically pick the view up through active_reuse(), which
-// matches by identity: the problem being mapped must be `current` itself.
-// `current` changes only through Problem::remove_machine, which
+// instrumentation and fault-injection sites are untouched — while the KPB
+// kernel opportunistically picks the rankings up through active_reuse(),
+// which matches by identity: the problem being mapped must be `current`
+// itself. `current` changes only through Problem::remove_machine, which
 // apply_removal follows in lockstep, so identity is exact. Anything else —
-// a Segmented sub-problem, a nested study, an equal-valued copy — falls
-// back to a local gather, so reuse is an optimization the equivalence
-// guarantee never depends on.
+// a Segmented sub-problem, a nested study, an equal-valued copy — sorts
+// locally, so reuse is an optimization the equivalence guarantee never
+// depends on.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "heuristics/fastpath/etc_view.hpp"
 #include "sched/problem.hpp"
 
 namespace hcsched::heuristics::fastpath {
@@ -43,17 +39,14 @@ class IterativeReuse {
 
   /// Advance past one removal step, called right after
   /// current.remove_machine(slot, rows): the machine at `slot` and the
-  /// tasks at positions `rows` (strictly ascending) left. Compacts the view
-  /// and the KPB rankings in place, each only if built.
+  /// tasks at positions `rows` (strictly ascending) left. Compacts the KPB
+  /// rankings in place if built.
   void apply_removal(std::size_t slot, std::span<const std::size_t> rows);
 
   /// True when `p` is the problem this context follows (the same object).
   bool matches(const sched::Problem& p) const noexcept {
     return &p == current_;
   }
-
-  /// The view of the followed problem, gathered on first use.
-  const EtcView& view();
 
   /// KPB ranking cache: row t_pos holds every machine slot sorted by
   /// (ETC ascending, slot ascending) for that task — built lazily by the
@@ -65,8 +58,6 @@ class IterativeReuse {
 
  private:
   const sched::Problem* current_;
-  EtcView view_{};
-  bool view_built_ = false;
   std::vector<std::uint32_t> rankings_{};
   bool rankings_built_ = false;
 };
@@ -85,9 +76,5 @@ class ScopedReuse {
 
 /// The thread's active context when it follows `problem`, else nullptr.
 IterativeReuse* active_reuse(const sched::Problem& problem) noexcept;
-
-/// The kernels' view source: the active context's incrementally-maintained
-/// view when it follows `problem`, otherwise a fresh gather into `scratch`.
-const EtcView& acquire_view(const sched::Problem& problem, EtcView& scratch);
 
 }  // namespace hcsched::heuristics::fastpath

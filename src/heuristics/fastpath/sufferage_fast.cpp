@@ -27,10 +27,10 @@
 #include "core/check.hpp"
 #include "heuristics/fastpath/fastpath.hpp"
 #include "heuristics/fastpath/minscan.hpp"
-#include "heuristics/fastpath/reuse.hpp"
 #include "heuristics/fastpath/workspace.hpp"
 #include "obs/counters.hpp"
 #include "obs/span.hpp"
+#include "sched/etc_view.hpp"
 
 namespace hcsched::heuristics::fastpath {
 
@@ -52,7 +52,7 @@ Schedule sufferage_fast(const Problem& problem, TieBreaker& ties,
 #endif
 
   Workspace& ws = thread_workspace();
-  const EtcView& view = acquire_view(problem, ws.scratch_view);
+  const sched::EtcView view(problem);
 
   // Per-slot claim state and the two pending queues, carved from the
   // thread's bump pools.

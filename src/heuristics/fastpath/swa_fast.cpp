@@ -19,10 +19,10 @@
 #include "core/check.hpp"
 #include "heuristics/fastpath/fastpath.hpp"
 #include "heuristics/fastpath/minscan.hpp"
-#include "heuristics/fastpath/reuse.hpp"
 #include "heuristics/fastpath/workspace.hpp"
 #include "obs/counters.hpp"
 #include "obs/span.hpp"
+#include "sched/etc_view.hpp"
 
 namespace hcsched::heuristics::fastpath {
 
@@ -40,7 +40,7 @@ Schedule swa_fast(const Problem& problem, TieBreaker& ties, double low,
   HCSCHED_SPAN_ATTR(kernel_span, "machines", obs::JsonValue(m));
 
   Workspace& ws = thread_workspace();
-  const EtcView& view = acquire_view(problem, ws.scratch_view);
+  const sched::EtcView view(problem);
 
   ws.doubles.reset(2 * m);
   const std::span<double> ready = ws.doubles.take(m);

@@ -45,10 +45,10 @@
 #include "core/check.hpp"
 #include "heuristics/fastpath/fastpath.hpp"
 #include "heuristics/fastpath/minscan.hpp"
-#include "heuristics/fastpath/reuse.hpp"
 #include "heuristics/fastpath/workspace.hpp"
 #include "obs/counters.hpp"
 #include "obs/span.hpp"
+#include "sched/etc_view.hpp"
 
 namespace hcsched::heuristics::fastpath {
 
@@ -95,7 +95,7 @@ Schedule two_phase_greedy_fast(const Problem& problem, TieBreaker& ties,
 #endif
 
   Workspace& ws = thread_workspace();
-  const EtcView& view = acquire_view(problem, ws.scratch_view);
+  const sched::EtcView view(problem);
 
   // Structure-of-arrays per-task state: the cached phase-one decision is a
   // best slot, its completion time (the tree leaf), and the epsilon-tied

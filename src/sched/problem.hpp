@@ -39,9 +39,13 @@ class Problem {
   Problem(const EtcMatrix& matrix, std::vector<TaskId> tasks,
           std::vector<MachineId> machines,
           std::vector<double> initial_ready = {});
+  /// A Problem keeps a pointer to its matrix: a temporary would dangle.
+  Problem(const EtcMatrix&&, std::vector<TaskId>, std::vector<MachineId>,
+          std::vector<double> = {}) = delete;
 
   /// The full problem: all tasks, all machines, zero ready times.
   static Problem full(const EtcMatrix& matrix);
+  static Problem full(const EtcMatrix&&) = delete;
 
   const EtcMatrix& matrix() const noexcept { return *matrix_; }
   const std::vector<TaskId>& tasks() const noexcept { return tasks_; }

@@ -27,6 +27,18 @@ TEST(EtcMatrix, ZeroInitialized) {
   }
 }
 
+TEST(EtcMatrix, ShapeWhoseCellCountWrapsThrows) {
+  // 2^33 x 2^31 wraps to 0 cells in a 64-bit size_t: without the check the
+  // buffer would be empty while at() accepted every in-shape index. The
+  // check runs before any allocation, so this test allocates nothing.
+  static_assert(sizeof(std::size_t) == 8);
+  const std::size_t tasks = std::size_t{1} << 33;
+  const std::size_t machines = std::size_t{1} << 31;
+  EXPECT_THROW(EtcMatrix(tasks, machines), std::invalid_argument);
+  EXPECT_THROW((void)EtcMatrix::from_values(tasks, machines, {}),
+               std::invalid_argument);
+}
+
 TEST(EtcMatrix, FromRowsAndAt) {
   const EtcMatrix m = EtcMatrix::from_rows({{1, 2, 3}, {4, 5, 6}});
   EXPECT_EQ(m.num_tasks(), 2u);

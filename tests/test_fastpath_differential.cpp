@@ -14,9 +14,9 @@
 // load-bearing phase-two list order, and the ScopedMode test seam itself.
 // docs/FASTPATH.md documents the invariant being tested.
 //
-// covers: fastpath.cpp etc_view.cpp two_phase_fast.cpp
-// minscan.cpp arena.hpp workspace.cpp reuse.cpp sufferage_fast.cpp
-// kpb_fast.cpp swa_fast.cpp kernel_table.cpp
+// covers: fastpath.cpp two_phase_fast.cpp minscan.cpp arena.hpp
+// workspace.cpp reuse.cpp sufferage_fast.cpp kpb_fast.cpp swa_fast.cpp
+// kernel_table.cpp
 // (stems named for the fastpath-differential lint rule)
 #include <gtest/gtest.h>
 
@@ -35,7 +35,6 @@
 #include "etc/etc_matrix.hpp"
 #include "heuristics/duplex.hpp"
 #include "differential.hpp"
-#include "heuristics/fastpath/etc_view.hpp"
 #include "heuristics/fastpath/fastpath.hpp"
 #include "heuristics/kpb.hpp"
 #include "heuristics/minmin.hpp"
@@ -548,43 +547,6 @@ TEST(FastpathDifferential, PhaseTwoTieBreaksInOriginalTaskOrder) {
     EXPECT_EQ(s.machine_of(1), std::optional<hcsched::sched::MachineId>(1));
     EXPECT_EQ(s.machine_of(2), std::optional<hcsched::sched::MachineId>(1));
     EXPECT_DOUBLE_EQ(s.makespan(), 6.0);
-  }
-}
-
-TEST(FastpathDifferential, EtcViewIsVerbatimCopyOfProblemCells) {
-  const EtcMatrix m =
-      EtcMatrix::from_rows({{2.5, 9.0, 1.0}, {6.5, 4.0, 8.0}});
-  // Subset view: task 1 only, machines {2, 0}, to exercise the gather's
-  // index mapping rather than a straight memcpy.
-  const Problem p(m, {1}, {2, 0}, {0.0, 0.0});
-  const fastpath::EtcView view(p);
-  ASSERT_EQ(view.num_tasks(), 1u);
-  ASSERT_EQ(view.row(0).size(), 2u);
-  EXPECT_EQ(view.row(0)[0], 8.0);
-  EXPECT_EQ(view.row(0)[1], 6.5);
-}
-
-TEST(FastpathDifferential, EtcViewCompactEqualsFreshGatherOfShrunkProblem) {
-  // compact() is the iterative technique's machine-removal step: dropping a
-  // machine column and the rows of the removed iteration's surviving-task
-  // complement must leave exactly the view a fresh gather of the shrunk
-  // problem would build.
-  const EtcMatrix m = cvb_matrix(11, 7, 5);
-  const Problem before(m, {0, 1, 2, 3, 4, 5, 6}, {0, 1, 2, 3, 4},
-                       {0.0, 0.0, 0.0, 0.0, 0.0});
-  fastpath::EtcView view(before);
-  // Drop machine slot 2 and task positions {1, 4} (tasks 1 and 4).
-  const std::size_t drop_rows[] = {1, 4};
-  view.compact(2, drop_rows);
-  const Problem after(m, {0, 2, 3, 5, 6}, {0, 1, 3, 4}, {0.0, 0.0, 0.0, 0.0});
-  const fastpath::EtcView fresh(after);
-  ASSERT_EQ(view.num_tasks(), fresh.num_tasks());
-  for (std::size_t p = 0; p < fresh.num_tasks(); ++p) {
-    ASSERT_EQ(view.row(p).size(), fresh.row(p).size()) << "row " << p;
-    for (std::size_t s = 0; s < fresh.row(p).size(); ++s) {
-      EXPECT_EQ(view.row(p)[s], fresh.row(p)[s]) << "row " << p << " slot "
-                                                 << s;
-    }
   }
 }
 

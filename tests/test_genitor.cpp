@@ -56,6 +56,26 @@ TEST(Chromosome, EvaluateMatchesDecodedSchedule) {
   }
 }
 
+TEST(Chromosome, EvaluatorReadsTheProblemsCellsBeforeAndAfterRemoval) {
+  // A subset whose task and machine orders are not the identity, so a
+  // gather that indexed the matrix by position would read other cells.
+  const EtcMatrix m = random_matrix(6, 8, 5);
+  Problem p(m, {5, 0, 7, 2, 3}, {3, 0, 4, 1});
+  const auto expect_cells = [&p](const char* when) {
+    const Evaluator evaluator(p);
+    for (std::size_t i = 0; i < p.num_tasks(); ++i) {
+      for (std::size_t s = 0; s < p.num_machines(); ++s) {
+        EXPECT_EQ(evaluator.etc(i, s), p.etc_at(p.tasks()[i], s))
+            << when << ", row " << i << ", slot " << s;
+      }
+    }
+  };
+  expect_cells("before removal");
+  p.remove_machine(1, std::vector<std::size_t>{0, 3});  // machine 0
+  ASSERT_EQ(p.machines(), (std::vector<hcsched::sched::MachineId>{3, 4, 1}));
+  expect_cells("after removal");
+}
+
 TEST(Chromosome, FromScheduleRoundTrips) {
   const EtcMatrix m = random_matrix(3);
   const Problem p = Problem::full(m);

@@ -2,7 +2,7 @@
 //
 // The minimizer shrinks one Problem in place each round, hands the
 // heuristic the previous iteration's whole schedule as its seed and compacts
-// the fastpath view by slot and rows. The oracle below is the plain
+// KPB's cached rankings by slot and rows. The oracle below is the plain
 // statement of the paper's loop: a fresh Problem per round
 // (Problem::without_machine), the seed restricted to it (restrict_schedule),
 // and no reuse context. Both must produce the same trajectory bit for bit —
@@ -13,8 +13,8 @@
 //
 // The lockstep test drives the minimizer's removal step by hand: after
 // every Problem::remove_machine and IterativeReuse::apply_removal pair, the
-// reuse context's view and KPB rankings must equal a fresh gather and sort
-// of the shrunk problem, and only that problem object may find the context.
+// reuse context's KPB rankings must equal a fresh sort of the shrunk
+// problem, and only that problem object may find the context.
 //
 // The seed-contract test pins the map_seeded contract the minimizer relies
 // on: every seed consumer returns the same mapping whether it gets the full
@@ -35,7 +35,6 @@
 #include "core/paper_examples.hpp"
 #include "etc/cvb_generator.hpp"
 #include "ga/genitor.hpp"
-#include "heuristics/fastpath/etc_view.hpp"
 #include "heuristics/fastpath/reuse.hpp"
 #include "heuristics/registry.hpp"
 #include "heuristics/seeded.hpp"
@@ -255,18 +254,18 @@ TEST(IterativeLoop, MatchesCopyingOracleOnTieRichRandomInstances) {
 
 TEST(IterativeLoop, ReuseContextFollowsTheShrinkingProblemInLockstep) {
   // The minimizer's two halves of one removal step, driven directly: the
-  // Problem shrinks in place and the reuse context compacts its view and KPB
+  // Problem shrinks in place and the reuse context compacts its KPB
   // rankings by the same slot and rows. After every step both must still
   // describe the same problem, and only that object may find the context.
   namespace fastpath = hcsched::heuristics::fastpath;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const EtcMatrix matrix = tie_rich_matrix(seed * 6151, 24, 6);
-    const Problem unrelated =
-        Problem::full(tie_rich_matrix(seed * 6151 + 1, 24, 6));
+    const EtcMatrix other = tie_rich_matrix(seed * 6151 + 1, 24, 6);
+    const Problem unrelated = Problem::full(other);
     Problem current = Problem::full(matrix);
     fastpath::IterativeReuse reuse(current);
     const fastpath::ScopedReuse scope(reuse);
-    // A KPB map of `current` gathers the view and builds the rankings.
+    // A KPB map of `current` builds the rankings.
     Rng rng(seed);
     TieBreaker ties(rng);
     (void)hcsched::heuristics::make_heuristic("KPB")->map(current, ties);
@@ -280,17 +279,10 @@ TEST(IterativeLoop, ReuseContextFollowsTheShrinkingProblemInLockstep) {
 
       const std::size_t n = current.num_tasks();
       const std::size_t m = current.num_machines();
-      const fastpath::EtcView& view = reuse.view();
-      ASSERT_EQ(view.num_tasks(), n) << where;
       ASSERT_TRUE(reuse.rankings_built()) << where;
       ASSERT_EQ(reuse.rankings().size(), n * m) << where;
       for (std::size_t p = 0; p < n; ++p) {
         const TaskId task = current.tasks()[p];
-        ASSERT_EQ(view.row(p).size(), m) << where;
-        for (std::size_t s = 0; s < m; ++s) {
-          EXPECT_EQ(view.row(p)[s], current.etc_at(task, s))
-              << where << ", row " << p << ", slot " << s;
-        }
         std::vector<std::uint32_t> fresh(m);
         std::iota(fresh.begin(), fresh.end(), std::uint32_t{0});
         std::sort(fresh.begin(), fresh.end(),

@@ -3,12 +3,33 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <utility>
+
+#include "sched/etc_view.hpp"
 
 namespace {
 
 using hcsched::etc::EtcMatrix;
+using hcsched::sched::EtcView;
+using hcsched::sched::MachineId;
 using hcsched::sched::Problem;
+using hcsched::sched::TaskId;
 using Rows = std::vector<std::size_t>;
+
+// A Problem keeps a pointer to its matrix, so it must not be built over a
+// temporary: both entry points reject an rvalue at compile time.
+template <class M>
+concept FullAccepts = requires(M&& m) { Problem::full(std::forward<M>(m)); };
+template <class M>
+concept ConstructorAccepts = requires(M&& m) {
+  Problem(std::forward<M>(m), std::vector<TaskId>{}, std::vector<MachineId>{});
+};
+static_assert(!FullAccepts<EtcMatrix> && !FullAccepts<const EtcMatrix>);
+static_assert(FullAccepts<EtcMatrix&> && FullAccepts<const EtcMatrix&>);
+static_assert(!ConstructorAccepts<EtcMatrix> &&
+              !ConstructorAccepts<const EtcMatrix>);
+static_assert(ConstructorAccepts<EtcMatrix&> &&
+              ConstructorAccepts<const EtcMatrix&>);
 
 EtcMatrix matrix3x3() {
   return EtcMatrix::from_rows({{1, 2, 3}, {4, 5, 6}, {7, 8, 9}});
@@ -175,6 +196,19 @@ TEST(Problem, OverflowBoundCountsOnlyTheProblemsTasksAndMachines) {
   // The ready time counts toward the bound.
   EXPECT_THROW(Problem(m, {0}, {0}, {1e308}), std::invalid_argument);
   EXPECT_NO_THROW(Problem(m, {0}, {1}, {1e308}));
+}
+
+TEST(EtcView, IsVerbatimCopyOfProblemCells) {
+  const EtcMatrix m =
+      EtcMatrix::from_rows({{2.5, 9.0, 1.0}, {6.5, 4.0, 8.0}});
+  // Subset view: task 1 only, machines {2, 0}, to exercise the gather's
+  // index mapping rather than a straight memcpy.
+  const Problem p(m, {1}, {2, 0}, {0.0, 0.0});
+  const EtcView view(p);
+  ASSERT_EQ(view.num_tasks(), 1u);
+  ASSERT_EQ(view.row(0).size(), 2u);
+  EXPECT_EQ(view.row(0)[0], 8.0);
+  EXPECT_EQ(view.row(0)[1], 6.5);
 }
 
 }  // namespace

@@ -12,7 +12,9 @@
 //   include graph:
 //     layering, include-cycle, unused-include
 //   token-level:
-//     range-for-temporary, narrowing-in-kernel, catch-by-value
+//     range-for-temporary
+//   (implicit narrowing and by-value catches are compiler warnings:
+//   -Wconversion, -Wcatch-value=3)
 //   interprocedural (symbol index + cross-TU call graph):
 //     lock-order-cycle, blocking-under-lock, transitive-nondeterminism,
 //     dead-symbol

@@ -23,7 +23,7 @@ constexpr std::string_view kCacheVersion = "hcsched-analyze-cache-v3";
 // changing the serialized layout, so an edited rule can never serve stale
 // cached findings. (Content hashes only catch edits to the *scanned*
 // files, not to the analyzer itself.)
-constexpr std::string_view kEngineStamp = "engine-v10-symbol-index";
+constexpr std::string_view kEngineStamp = "engine-v11-no-compiler-rules";
 
 bool skip_directory(const fs::path& dir) {
   const std::string name = dir.filename().string();

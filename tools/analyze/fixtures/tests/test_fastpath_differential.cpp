@@ -1,6 +1,5 @@
-// Fixture differential suite: names covered_kernel, narrow_kernel and
-// narrow_minscan so the fastpath-differential rule treats those files as
-// tested.
+// Fixture differential suite: names covered_kernel so the
+// fastpath-differential rule treats that file as tested.
 //
-// covers: covered_kernel.cpp narrow_kernel.cpp narrow_minscan.cpp
+// covers: covered_kernel.cpp
 int main() { return 0; }

@@ -5,8 +5,8 @@
 // no-nondeterminism-in-core, lock-annotation-coverage) scan the scrubbed
 // code lines — comments blanked, string contents blanked — which is what
 // makes them string/comment-aware while keeping the exact line pinning the
-// fixtures rely on. The two new local rules (narrowing-in-kernel,
-// catch-by-value) work on the token stream directly.
+// fixtures rely on. Implicit narrowing and by-value catches are the
+// compiler's to flag (-Wconversion, -Wcatch-value=3 in hcsched_warnings).
 //
 // run_global_rules: rules needing more than one file — registry coverage,
 // fastpath differential coverage, test registration, metric docs (the docs
@@ -313,183 +313,6 @@ void check_lock_annotation_coverage(const std::string& relative,
   }
 }
 
-// --------------------------------------------------------- new local rules
-
-bool tok_is(const Token& t, std::string_view text) { return t.text == text; }
-
-bool is_keyword_name(const std::string& t) {
-  static const std::set<std::string> kw = {
-      "auto",   "bool",     "break",  "case",   "catch",  "class",
-      "const",  "continue", "default","delete", "do",     "double",
-      "else",   "enum",     "false",  "float",  "for",    "if",
-      "int",    "long",     "new",    "return", "short",  "sizeof",
-      "struct", "switch",   "this",   "throw",  "true",   "union",
-      "unsigned","void",    "while",
-  };
-  return kw.count(t) != 0;
-}
-
-/// narrowing-in-kernel: implicit double->float and size_t->int in the hot
-/// kernels (src/heuristics/fastpath/) and the ETC matrix layer (src/etc/),
-/// where silent precision/width loss corrupts schedule math. A
-/// static_cast<> in the initializer documents intent and silences the rule.
-void check_narrowing_in_kernel(const std::string& relative,
-                               const FileContext& ctx, FileSummary& out) {
-  if (!starts_with(relative, "src/heuristics/fastpath/") &&
-      !starts_with(relative, "src/etc/")) {
-    return;
-  }
-  if (out.file_allows.count("narrowing-in-kernel")) return;
-  const std::vector<Token>& toks = ctx.tokens;
-  std::map<std::string, std::string> var_type;  // name -> tracked type
-
-  // Does toks[i..] spell a tracked type? Returns the type and its length.
-  auto type_at = [&toks](std::size_t i, std::size_t* len) -> std::string {
-    if (toks[i].kind != Tok::Identifier) return {};
-    const std::string& t = toks[i].text;
-    if (t == "double" || t == "float" || t == "int") {
-      *len = 1;
-      return t;
-    }
-    if (t == "size_t") {
-      *len = 1;
-      return "size_t";
-    }
-    if (t == "std" && i + 2 < toks.size() && tok_is(toks[i + 1], "::") &&
-        tok_is(toks[i + 2], "size_t")) {
-      *len = 3;
-      return "size_t";
-    }
-    return {};
-  };
-
-  for (std::size_t i = 0; i < toks.size(); ++i) {
-    std::size_t tlen = 0;
-    const std::string ty = type_at(i, &tlen);
-    std::size_t eq = 0;  // index of the '=' starting the initializer
-    std::string target;
-    std::size_t report_line = 0;
-    if (!ty.empty()) {
-      const std::size_t j = i + tlen;
-      if (j < toks.size() && toks[j].kind == Tok::Identifier &&
-          !is_keyword_name(toks[j].text)) {
-        var_type[toks[j].text] = ty;
-        if (j + 1 < toks.size() && tok_is(toks[j + 1], "=")) {
-          eq = j + 1;
-          target = ty;
-          report_line = toks[i].line;
-        }
-      }
-    } else if (toks[i].kind == Tok::Identifier && i + 1 < toks.size() &&
-               tok_is(toks[i + 1], "=") && var_type.count(toks[i].text)) {
-      // Plain re-assignment; only at statement start so `a == b` pieces and
-      // defaulted parameters stay out of scope.
-      if (i == 0 || (toks[i - 1].kind == Tok::Punct &&
-                     (toks[i - 1].text == ";" || toks[i - 1].text == "{" ||
-                      toks[i - 1].text == "}"))) {
-        eq = i + 1;
-        target = var_type[toks[i].text];
-        report_line = toks[i].line;
-      }
-    }
-    if (eq == 0 || (target != "float" && target != "int")) continue;
-
-    bool cast = false;
-    std::string narrow_from;
-    int depth = 0;
-    for (std::size_t k = eq + 1; k < toks.size(); ++k) {
-      const Token& e = toks[k];
-      if (e.kind == Tok::Punct) {
-        if (e.text == "(" || e.text == "[" || e.text == "{") {
-          ++depth;
-        } else if (e.text == ")" || e.text == "]" || e.text == "}") {
-          if (depth == 0) break;
-          --depth;
-        } else if (depth == 0 && (e.text == ";" || e.text == ",")) {
-          break;
-        }
-        continue;
-      }
-      if (e.kind == Tok::Identifier) {
-        if (e.text == "static_cast") cast = true;
-        const auto it = var_type.find(e.text);
-        if (it != var_type.end()) {
-          if (target == "float" && it->second == "double") {
-            narrow_from = "double variable '" + e.text + "'";
-          }
-          if (target == "int" && it->second == "size_t") {
-            narrow_from = "std::size_t variable '" + e.text + "'";
-          }
-        }
-        if (target == "int" && k >= 1 && toks[k - 1].kind == Tok::Punct &&
-            (toks[k - 1].text == "." || toks[k - 1].text == "->") &&
-            (e.text == "size" || e.text == "capacity" ||
-             e.text == "length") &&
-            k + 1 < toks.size() && tok_is(toks[k + 1], "(")) {
-          narrow_from = "'." + e.text + "()' (std::size_t)";
-        }
-      }
-      if (e.kind == Tok::Number && target == "float") {
-        const std::string& n = e.text;
-        const bool hex = n.rfind("0x", 0) == 0 || n.rfind("0X", 0) == 0;
-        const bool fp =
-            n.find('.') != std::string::npos ||
-            (!hex && (n.find('e') != std::string::npos ||
-                      n.find('E') != std::string::npos)) ||
-            (hex && (n.find('p') != std::string::npos ||
-                     n.find('P') != std::string::npos));
-        const bool suffixed =
-            !n.empty() && (n.back() == 'f' || n.back() == 'F');
-        if (fp && !suffixed) narrow_from = "double literal " + n;
-      }
-    }
-    if (cast || narrow_from.empty()) continue;
-    if (ctx.line_allowed(report_line, "narrowing")) continue;
-    out.findings.push_back(Finding{
-        relative, report_line, "narrowing-in-kernel",
-        "implicit narrowing to " +
-            std::string(target == "float" ? "float" : "int") + " from " +
-            narrow_from +
-            " in a numeric kernel — spell the intent with static_cast<" +
-            target + ">(...), or mark the audited line "
-            "'// lint:allow(narrowing)'"});
-  }
-}
-
-/// catch-by-value: catching exceptions by value slices derived types and
-/// copies on the unwind path. `catch (...)` and reference/pointer catches
-/// are fine; anything else is flagged.
-void check_catch_by_value(const std::string& relative, const FileContext& ctx,
-                          FileSummary& out) {
-  if (!starts_with(relative, "src/") && !starts_with(relative, "tools/")) {
-    return;
-  }
-  if (out.file_allows.count("catch-by-value")) return;
-  const std::vector<Token>& toks = ctx.tokens;
-  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != Tok::Identifier || toks[i].text != "catch") continue;
-    if (!tok_is(toks[i + 1], "(")) continue;
-    bool by_value = true;
-    int depth = 0;
-    for (std::size_t j = i + 1; j < toks.size(); ++j) {
-      if (toks[j].kind != Tok::Punct) continue;
-      if (toks[j].text == "(") ++depth;
-      if (toks[j].text == ")" && --depth == 0) break;
-      if (toks[j].text == "..." || toks[j].text == "&" ||
-          toks[j].text == "&&" || toks[j].text == "*") {
-        by_value = false;
-      }
-    }
-    if (!by_value) continue;
-    if (ctx.line_allowed(toks[i].line, "catch-by-value")) continue;
-    out.findings.push_back(Finding{
-        relative, toks[i].line, "catch-by-value",
-        "exception caught by value (slices derived types, copies on the "
-        "unwind path) — catch by const reference, or mark the audited "
-        "line '// lint:allow(catch-by-value)'"});
-  }
-}
-
 // ------------------------------------------------------------ global rules
 
 void check_heuristic_registry(const std::vector<FileSummary>& files,
@@ -676,8 +499,6 @@ void run_local_rules(const std::string& relative, const FileContext& ctx,
   check_explicit_memory_order(relative, ctx, out);
   check_no_nondeterminism_in_core(relative, ctx, out);
   check_lock_annotation_coverage(relative, ctx, out);
-  check_narrowing_in_kernel(relative, ctx, out);
-  check_catch_by_value(relative, ctx, out);
 }
 
 std::vector<Finding> run_global_rules(

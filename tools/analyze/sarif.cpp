@@ -74,10 +74,6 @@ const std::map<std::string, std::string>& rule_descriptions() {
       {"range-for-temporary",
        "A range-for range expression must not bind a reference into a "
        "temporary that dies before the loop body."},
-      {"narrowing-in-kernel",
-       "No implicit double->float or size_t->int narrowing in "
-       "src/heuristics/fastpath/ or src/etc/."},
-      {"catch-by-value", "Exceptions are caught by reference (or ...)."},
       {"lock-order-cycle",
        "The cross-TU lock acquisition graph (core::MutexLock nesting plus "
        "ACQUIRE/REQUIRES annotations) is acyclic."},
