@@ -1,6 +1,7 @@
 #include "sim/checkpoint.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <exception>
 #include <stdexcept>
 #include <utility>
@@ -16,123 +17,222 @@ namespace hcsched::sim {
 namespace {
 
 constexpr int kVersion = 1;
+/// Largest count a line may carry: 2^53, the end of the integers that the
+/// doubles JSON numbers are read as hold exactly.
+constexpr double kMaxCount = 9007199254740992.0;
 
-obs::JsonValue encode_records(const std::vector<TrialRecord>& records) {
-  obs::JsonValue::Array array;
-  array.reserve(records.size());
-  for (const TrialRecord& record : records) {
-    obs::JsonValue::Object object;
-    object.reserve(9);
-    object.emplace_back("heuristic", obs::JsonValue(record.heuristic));
-    object.emplace_back("improved", obs::JsonValue(record.machines_improved));
-    object.emplace_back("unchanged", obs::JsonValue(record.machines_unchanged));
-    object.emplace_back("worsened", obs::JsonValue(record.machines_worsened));
-    obs::JsonValue::Array deltas;
-    deltas.reserve(record.finish_deltas.size());
-    for (const double d : record.finish_deltas) {
-      deltas.emplace_back(d);
-    }
-    object.emplace_back("finish_deltas", obs::JsonValue(std::move(deltas)));
-    object.emplace_back("mean_completion_delta",
-                        record.has_mean_completion_delta
-                            ? obs::JsonValue(record.mean_completion_delta)
-                            : obs::JsonValue(nullptr));
-    object.emplace_back("makespan_increased",
-                        obs::JsonValue(record.makespan_increased));
-    object.emplace_back("original_makespan",
-                        obs::JsonValue(record.original_makespan));
-    object.emplace_back("gap_pct", record.has_gap
-                                       ? obs::JsonValue(record.gap_pct)
-                                       : obs::JsonValue(nullptr));
-    object.emplace_back("gap_exact", obs::JsonValue(record.gap_exact));
-    array.emplace_back(std::move(object));
-  }
-  return obs::JsonValue(std::move(array));
+void append_count(std::string& out, std::size_t count) {
+  obs::append_json_number(out, static_cast<double>(count));
 }
 
-obs::JsonValue encode_quarantined(
-    const std::vector<QuarantineRecord>& quarantined) {
-  obs::JsonValue::Array array;
-  array.reserve(quarantined.size());
-  for (const QuarantineRecord& q : quarantined) {
-    obs::JsonValue::Object object;
-    object.reserve(3);
-    object.emplace_back("heuristic", obs::JsonValue(q.heuristic));
-    object.emplace_back("site", obs::JsonValue(q.site));
-    object.emplace_back("error", obs::JsonValue(q.error));
-    array.emplace_back(std::move(object));
+void append_optional(std::string& out, bool has, double value) {
+  if (has) {
+    obs::append_json_number(out, value);
+  } else {
+    out += "null";
   }
-  return obs::JsonValue(std::move(array));
 }
 
-std::size_t as_size(const obs::JsonValue& v) {
-  const double d = v.as_number();
-  if (!(d >= 0.0)) throw std::invalid_argument("negative count");
+void append_bool(std::string& out, bool value) {
+  out += value ? "true" : "false";
+}
+
+void append_record(std::string& out, const TrialRecord& record) {
+  out += "{\"heuristic\":";
+  obs::append_json_string(out, record.heuristic);
+  out += ",\"improved\":";
+  append_count(out, record.machines_improved);
+  out += ",\"unchanged\":";
+  append_count(out, record.machines_unchanged);
+  out += ",\"worsened\":";
+  append_count(out, record.machines_worsened);
+  out += ",\"finish_deltas\":[";
+  for (std::size_t i = 0; i < record.finish_deltas.size(); ++i) {
+    if (i > 0) out.push_back(',');
+    obs::append_json_number(out, record.finish_deltas[i]);
+  }
+  out += "],\"mean_completion_delta\":";
+  append_optional(out, record.has_mean_completion_delta,
+                  record.mean_completion_delta);
+  out += ",\"makespan_increased\":";
+  append_bool(out, record.makespan_increased);
+  out += ",\"original_makespan\":";
+  obs::append_json_number(out, record.original_makespan);
+  out += ",\"gap_pct\":";
+  append_optional(out, record.has_gap, record.gap_pct);
+  out += ",\"gap_exact\":";
+  append_bool(out, record.gap_exact);
+  out.push_back('}');
+}
+
+void append_quarantined(std::string& out, const QuarantineRecord& q) {
+  out += "{\"heuristic\":";
+  obs::append_json_string(out, q.heuristic);
+  out += ",\"site\":";
+  obs::append_json_string(out, q.site);
+  out += ",\"error\":";
+  obs::append_json_string(out, q.error);
+  out.push_back('}');
+}
+
+[[noreturn]] void corrupt(const char* what) {
+  throw std::invalid_argument(std::string("checkpoint: ") + what);
+}
+
+/// A count: an integer in [0, 2^53]. A fraction, a negative or a larger
+/// value marks the line corrupt instead of being truncated.
+std::size_t read_count(obs::JsonReader& reader) {
+  const double d = reader.read_number();
+  if (!(d >= 0.0 && d <= kMaxCount) || d != std::floor(d)) {
+    corrupt("count is not an integer in [0, 2^53]");
+  }
   return static_cast<std::size_t>(d);
 }
 
-/// Tolerant lookup for fields added after v1. Unlike `.at()` — whose throw
-/// marks the whole line corrupt — an absent key returns nullptr, so lines
-/// written before the field existed still decode (the field reads as "not
-/// recorded", matching the header's "unknown keys are ignored" promise in
-/// the other direction).
-const obs::JsonValue* find_field(const obs::JsonValue& item,
-                                 std::string_view key) {
-  for (const auto& [name, value] : item.as_object()) {
-    if (name == key) return &value;
+/// A number, or nullopt for `null` ("not recorded").
+std::optional<double> read_optional(obs::JsonReader& reader) {
+  if (reader.peek() == obs::JsonReader::Kind::kNull) {
+    reader.read_null();
+    return std::nullopt;
   }
-  return nullptr;
+  return reader.read_number();
 }
 
-std::vector<TrialRecord> decode_records(const obs::JsonValue& value) {
-  std::vector<TrialRecord> records;
-  records.reserve(value.as_array().size());
-  for (const obs::JsonValue& item : value.as_array()) {
-    TrialRecord record;
-    record.heuristic = item.at("heuristic").as_string();
-    record.machines_improved = as_size(item.at("improved"));
-    record.machines_unchanged = as_size(item.at("unchanged"));
-    record.machines_worsened = as_size(item.at("worsened"));
-    const auto& deltas = item.at("finish_deltas").as_array();
-    record.finish_deltas.reserve(deltas.size());
-    for (const obs::JsonValue& d : deltas) {
-      record.finish_deltas.push_back(d.as_number());
+/// Walks one object, calling `read(field)` for the first occurrence of each
+/// key in `names` (the enumerators of Field, in order); unknown keys and
+/// later duplicates are skipped, so the first occurrence wins. Fails unless
+/// the first `required` names were all present.
+template <typename Field, std::size_t N, typename Read>
+void read_fields(obs::JsonReader& reader, const std::string_view (&names)[N],
+                 std::size_t required, Read read) {
+  static_assert(N < 32);
+  std::string scratch;
+  std::uint32_t seen = 0;
+  reader.begin_object();
+  while (const auto key = reader.next_key(scratch)) {
+    std::size_t i = 0;
+    while (i < N && *key != names[i]) ++i;
+    if (i == N || (seen >> i & 1U) != 0) {
+      reader.skip();
+      continue;
     }
-    const obs::JsonValue& mean = item.at("mean_completion_delta");
-    if (!mean.is_null()) {
-      record.has_mean_completion_delta = true;
-      record.mean_completion_delta = mean.as_number();
-    }
-    record.makespan_increased = item.at("makespan_increased").as_bool();
-    record.original_makespan = item.at("original_makespan").as_number();
-    if (const obs::JsonValue* gap = find_field(item, "gap_pct");
-        gap != nullptr && !gap->is_null()) {
-      record.has_gap = true;
-      record.gap_pct = gap->as_number();
-    }
-    if (const obs::JsonValue* exact = find_field(item, "gap_exact");
-        exact != nullptr) {
-      record.gap_exact = exact->as_bool();
-    }
-    records.push_back(std::move(record));
+    seen |= 1U << i;
+    read(static_cast<Field>(i));
   }
-  return records;
+  const std::uint32_t all_required = (1U << required) - 1U;
+  if ((seen & all_required) != all_required) corrupt("missing field");
 }
 
-std::vector<QuarantineRecord> decode_quarantined(const obs::JsonValue& value,
-                                                 const CheckpointKey& key) {
-  std::vector<QuarantineRecord> quarantined;
-  quarantined.reserve(value.as_array().size());
-  for (const obs::JsonValue& item : value.as_array()) {
-    QuarantineRecord q;
-    q.trial = key.trial;
-    q.study_seed = key.seed;
-    q.heuristic = item.at("heuristic").as_string();
-    q.site = item.at("site").as_string();
-    q.error = item.at("error").as_string();
-    quarantined.push_back(std::move(q));
+enum class RecordField {
+  kHeuristic,
+  kImproved,
+  kUnchanged,
+  kWorsened,
+  kFinishDeltas,
+  kMeanCompletionDelta,
+  kMakespanIncreased,
+  kOriginalMakespan,
+  kGapPct,
+  kGapExact,
+};
+constexpr std::string_view kRecordFields[] = {
+    "heuristic",          "improved",          "unchanged",
+    "worsened",           "finish_deltas",     "mean_completion_delta",
+    "makespan_increased", "original_makespan", "gap_pct",
+    "gap_exact"};
+
+/// `deltas` is the caller's buffer, reused across records so that each
+/// record's finish_deltas is allocated once, at its exact size (a resumed
+/// study holds every loaded record until it ends).
+TrialRecord read_record(obs::JsonReader& reader, std::vector<double>& deltas) {
+  TrialRecord record;
+  // The first eight fields are required; gap_pct and gap_exact came after
+  // v1's first lines and may be absent.
+  read_fields<RecordField>(reader, kRecordFields, 8, [&](RecordField field) {
+    switch (field) {
+      case RecordField::kHeuristic:
+        record.heuristic = reader.read_string();
+        break;
+      case RecordField::kImproved:
+        record.machines_improved = read_count(reader);
+        break;
+      case RecordField::kUnchanged:
+        record.machines_unchanged = read_count(reader);
+        break;
+      case RecordField::kWorsened:
+        record.machines_worsened = read_count(reader);
+        break;
+      case RecordField::kFinishDeltas:
+        deltas.clear();
+        reader.begin_array();
+        while (reader.next_item()) deltas.push_back(reader.read_number());
+        record.finish_deltas.assign(deltas.begin(), deltas.end());
+        break;
+      case RecordField::kMeanCompletionDelta:
+        if (const auto mean = read_optional(reader)) {
+          record.has_mean_completion_delta = true;
+          record.mean_completion_delta = *mean;
+        }
+        break;
+      case RecordField::kMakespanIncreased:
+        record.makespan_increased = reader.read_bool();
+        break;
+      case RecordField::kOriginalMakespan:
+        record.original_makespan = reader.read_number();
+        break;
+      case RecordField::kGapPct:
+        if (const auto gap = read_optional(reader)) {
+          record.has_gap = true;
+          record.gap_pct = *gap;
+        }
+        break;
+      case RecordField::kGapExact:
+        record.gap_exact = reader.read_bool();
+        break;
+    }
+  });
+  return record;
+}
+
+enum class QuarantineField { kHeuristic, kSite, kError };
+constexpr std::string_view kQuarantineFields[] = {"heuristic", "site",
+                                                  "error"};
+
+QuarantineRecord read_quarantined(obs::JsonReader& reader) {
+  QuarantineRecord q;
+  read_fields<QuarantineField>(
+      reader, kQuarantineFields, 3, [&](QuarantineField field) {
+        std::string& target = field == QuarantineField::kHeuristic ? q.heuristic
+                              : field == QuarantineField::kSite    ? q.site
+                                                                   : q.error;
+        target = reader.read_string();
+      });
+  return q;
+}
+
+enum class TrialField { kV, kPoint, kSeed, kTrial, kRecords, kQuarantined };
+constexpr std::string_view kTrialFields[] = {
+    "v", "point", "seed", "trial", "records", "quarantined"};
+
+/// Opens `path` for append. A killed run leaves a last line without its
+/// '\n'; that line is ended first, so the next line appended is not glued
+/// onto it (which would lose its trial along with the torn one).
+std::ofstream open_for_append(const std::string& path) {
+  bool torn = false;
+  if (std::ifstream tail(path, std::ios::binary | std::ios::ate);
+      tail.is_open() && tail.tellg() > 0) {
+    tail.seekg(-1, std::ios::end);
+    torn = tail.get() != '\n';
   }
-  return quarantined;
+  std::ofstream out(path, std::ios::app);
+  if (!out.is_open()) {
+    throw std::runtime_error("checkpoint: cannot open " + path +
+                             " for append");
+  }
+  if (torn && !(out << '\n').flush()) {
+    throw std::runtime_error("checkpoint: write to " + path + " failed");
+  }
+  return out;
 }
 
 }  // namespace
@@ -147,42 +247,96 @@ const TrialOutcome* CheckpointData::find(std::string_view point,
 
 std::string encode_trial(const CheckpointKey& key,
                          const TrialOutcome& outcome) {
-  obs::JsonValue::Object object;
-  object.reserve(6);
-  object.emplace_back("v", obs::JsonValue(kVersion));
-  object.emplace_back("point", obs::JsonValue(key.point));
+  std::size_t size = 96 + key.point.size();
+  for (const TrialRecord& record : outcome.records) {
+    size += 256 + record.heuristic.size() + 24 * record.finish_deltas.size();
+  }
+  for (const QuarantineRecord& q : outcome.quarantined) {
+    size += 48 + q.heuristic.size() + q.site.size() + q.error.size();
+  }
+  std::string line;
+  line.reserve(size);
+  line += "{\"v\":";
+  append_count(line, kVersion);
+  line += ",\"point\":";
+  obs::append_json_string(line, key.point);
   // Decimal string: a uint64 seed survives the double-based JSON model.
-  object.emplace_back("seed", obs::JsonValue(std::to_string(key.seed)));
-  object.emplace_back("trial", obs::JsonValue(key.trial));
-  object.emplace_back("records", encode_records(outcome.records));
-  object.emplace_back("quarantined", encode_quarantined(outcome.quarantined));
-  return obs::JsonValue(std::move(object)).dump();
+  char seed[24];
+  line += ",\"seed\":\"";
+  line.append(seed, std::to_chars(seed, seed + sizeof seed, key.seed).ptr);
+  line += "\",\"trial\":";
+  append_count(line, key.trial);
+  line += ",\"records\":[";
+  for (std::size_t i = 0; i < outcome.records.size(); ++i) {
+    if (i > 0) line.push_back(',');
+    append_record(line, outcome.records[i]);
+  }
+  line += "],\"quarantined\":[";
+  for (std::size_t i = 0; i < outcome.quarantined.size(); ++i) {
+    if (i > 0) line.push_back(',');
+    append_quarantined(line, outcome.quarantined[i]);
+  }
+  line += "]}";
+  return line;
 }
 
 std::optional<std::pair<CheckpointKey, TrialOutcome>> decode_trial(
     std::string_view line) {
   try {
-    const obs::JsonValue value = obs::JsonValue::parse(line);
-    const double version = value.at("v").as_number();
-    if (version != static_cast<double>(kVersion)) return std::nullopt;
-
+    obs::JsonReader reader(line);
     CheckpointKey key;
-    key.point = value.at("point").as_string();
-    const std::string& seed_text = value.at("seed").as_string();
-    const auto [ptr, ec] = std::from_chars(
-        seed_text.data(), seed_text.data() + seed_text.size(), key.seed);
-    if (ec != std::errc{} || ptr != seed_text.data() + seed_text.size()) {
-      return std::nullopt;
-    }
-    key.trial = as_size(value.at("trial"));
-
     TrialOutcome outcome;
     outcome.completed = true;
-    outcome.records = decode_records(value.at("records"));
-    outcome.quarantined = decode_quarantined(value.at("quarantined"), key);
+    bool current_version = false;
+    read_fields<TrialField>(reader, kTrialFields, 6, [&](TrialField field) {
+      switch (field) {
+        case TrialField::kV:
+          current_version =
+              reader.read_number() == static_cast<double>(kVersion);
+          break;
+        case TrialField::kPoint:
+          key.point = reader.read_string();
+          break;
+        case TrialField::kSeed: {
+          std::string scratch;
+          const std::string_view text = reader.read_string(scratch);
+          const auto [ptr, ec] = std::from_chars(
+              text.data(), text.data() + text.size(), key.seed);
+          if (ec != std::errc{} || ptr != text.data() + text.size()) {
+            corrupt("seed is not a decimal uint64");
+          }
+          break;
+        }
+        case TrialField::kTrial:
+          key.trial = read_count(reader);
+          break;
+        case TrialField::kRecords: {
+          std::vector<double> deltas;
+          reader.begin_array();
+          while (reader.next_item()) {
+            outcome.records.push_back(read_record(reader, deltas));
+          }
+          outcome.records.shrink_to_fit();  // exact, like the deltas
+          break;
+        }
+        case TrialField::kQuarantined:
+          reader.begin_array();
+          while (reader.next_item()) {
+            outcome.quarantined.push_back(read_quarantined(reader));
+          }
+          outcome.quarantined.shrink_to_fit();
+          break;
+      }
+    });
+    reader.finish();
+    if (!current_version) return std::nullopt;
+    for (QuarantineRecord& q : outcome.quarantined) {
+      q.trial = key.trial;
+      q.study_seed = key.seed;
+    }
     return std::make_pair(std::move(key), std::move(outcome));
   } catch (const std::exception&) {
-    return std::nullopt;  // syntax error, missing key, or kind mismatch
+    return std::nullopt;  // syntax error, missing field or kind mismatch
   }
 }
 
@@ -214,24 +368,20 @@ CheckpointData load_checkpoint(const std::string& path) {
 }
 
 CheckpointWriter::CheckpointWriter(const std::string& path)
-    : path_(path), out_(path, std::ios::app) {
-  if (!out_.is_open()) {
-    throw std::runtime_error("checkpoint: cannot open " + path +
-                             " for append");
-  }
-}
+    : path_(path), out_(open_for_append(path)) {}
 
 void CheckpointWriter::append_trial(const CheckpointKey& key,
                                     const TrialOutcome& outcome) {
   fault::maybe_inject(fault::Site::kCheckpointWrite, key.trial);
   HCSCHED_SPAN(write_span, "checkpoint.append");
   HCSCHED_SPAN_ATTR(write_span, "trial", obs::JsonValue(key.trial));
-  const std::string line = encode_trial(key, outcome);
+  std::string line = encode_trial(key, outcome);
+  line.push_back('\n');
   // Audited: durability requires the flush inside the lock — a checkpoint
   // line must be on disk before the next writer interleaves (crash-resume
   // replays only fully flushed lines).
   const core::MutexLock lock(mutex_);
-  out_ << line << '\n';
+  out_.write(line.data(), static_cast<std::streamsize>(line.size()));
   out_.flush();  // lint:allow(blocking-under-lock)
   if (!out_) {
     throw std::runtime_error("checkpoint: write to " + path_ + " failed");

@@ -9,21 +9,30 @@
 // statistics are produced by a deterministic trial-ordered fold of
 // TrialRecords (see experiment.hpp), a resumed run's final statistics are
 // bit-identical to an uninterrupted run — doubles are serialized with
-// shortest-round-trip formatting (obs::json_number) and parsed back
+// shortest-round-trip formatting (obs::append_json_number) and parsed back
 // exactly.
 //
 // The format is append-only and crash-tolerant: a truncated or corrupt
-// trailing line (the typical artifact of a killed process) is skipped with
-// a counted warning (kCheckpointCorruptLines), never an error. Unknown keys
-// are ignored so the schema can grow.
+// line (the typical artifact of a killed process) is skipped with a counted
+// warning (kCheckpointCorruptLines), never an error, and a writer that
+// opens a file whose last line is torn ends that line before appending.
+// Unknown keys are ignored so the schema can grow.
 //
-// Record schema (version 1):
-//   {"v":1,"point":"...","seed":N,"trial":N,
+// Record schema (version 1), written in this order; readers accept the
+// keys in any order, skip unknown ones and keep the first of duplicates:
+//   {"v":1,"point":"...","seed":"N","trial":N,
 //    "records":[{"heuristic":"...","improved":N,"unchanged":N,
-//                "worsened":N,"finish_deltas":[...],
+//                "worsened":N,"finish_deltas":[X,...],
 //                "mean_completion_delta":X|null,
-//                "makespan_increased":B,"original_makespan":X}, ...],
+//                "makespan_increased":B,"original_makespan":X,
+//                "gap_pct":X|null,"gap_exact":B}, ...],
 //    "quarantined":[{"heuristic":"...","site":"...","error":"..."}, ...]}
+// "seed" is a decimal string, so every uint64 survives. Counts (trial,
+// improved, unchanged, worsened) must be integers in [0, 2^53]; X is a
+// finite number, written as `null` when it is not finite (which only the
+// nullable fields read back). gap_pct and gap_exact came after v1's first
+// lines and may be absent (no gap, not exact). JSON nests at most
+// obs::JsonReader::kMaxDepth deep. Any other input marks the line corrupt.
 #pragma once
 
 #include <cstdint>
@@ -84,7 +93,9 @@ CheckpointData load_checkpoint(const std::string& path);
 /// site, keyed by the trial index.
 class CheckpointWriter {
  public:
-  /// Opens `path` for append; throws std::runtime_error when unwritable.
+  /// Opens `path` for append, first ending a torn last line (one without
+  /// its '\n') so no appended trial is glued onto it; throws
+  /// std::runtime_error when unwritable.
   explicit CheckpointWriter(const std::string& path);
 
   const std::string& path() const noexcept { return path_; }

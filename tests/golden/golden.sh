@@ -6,11 +6,16 @@
 # Runs CLI on etc_8x4.csv (next to this script; integer cells with many
 # ties) with random ties from seed 3, normalizes the output of KIND and
 # compares it byte for byte with the file GOLDEN:
-#   iterate  stdout of `iterate`
-#   report   stdout of `report` without its last table (map-call latencies
-#            are wall-clock times)
-#   trace    the iterative.iteration / iterative.done events of
-#            `iterate --trace`, without their "seq" field
+#   iterate     stdout of `iterate`
+#   report      stdout of `report` without its last table (map-call
+#               latencies are wall-clock times)
+#   trace       the iterative.iteration / iterative.done events of
+#               `iterate --trace`, without their "seq" field
+#   checkpoint  the checkpoint file of `study --trials 4 --tasks 10
+#               --machines 3 --checkpoint`, its lines sorted (pool workers
+#               append them in completion order); here HEURISTIC names the
+#               variant: `clean`, or `fault` for a run under
+#               --fault heuristic-map:0.2:99 (quarantine records)
 # Exit status 0 on a match, 1 on a difference (the diff is printed).
 # With GOLDEN_RECORD=1 in the environment the output is written to GOLDEN
 # instead.
@@ -32,6 +37,17 @@ case $kind in
     "$cli" iterate $run --trace "$out.jsonl" > /dev/null || exit 1
     sed -n 's/^{"seq":[0-9]*,"event":"iterative\./{"event":"iterative./p' \
       "$out.jsonl" > "$out" ;;
+  checkpoint)
+    case $heuristic in
+      clean) fault= ;;
+      fault) fault="--fault heuristic-map:0.2:99" ;;
+      *) echo "golden.sh: unknown checkpoint variant '$heuristic'" >&2
+         exit 2 ;;
+    esac
+    rm -f "$out.jsonl"
+    "$cli" study --trials 4 --tasks 10 --machines 3 $fault \
+      --checkpoint "$out.jsonl" > /dev/null 2>&1 || exit 1
+    LC_ALL=C sort "$out.jsonl" > "$out" ;;
   *)
     echo "golden.sh: unknown kind '$kind'" >&2
     exit 2 ;;

@@ -9,7 +9,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "etc/consistency.hpp"
@@ -162,6 +164,78 @@ TEST(CheckpointCodec, RejectsCorruptInput) {
   EXPECT_FALSE(hcsched::sim::decode_trial(
                    R"({"v":2,"point":"","seed":1,"trial":0,"records":[]})")
                    .has_value());
+  // Nesting far past any stack a recursive descent could survive: the
+  // reader's cap rejects it after kMaxDepth levels.
+  EXPECT_FALSE(hcsched::sim::decode_trial(R"({"v":1,"x":)" +
+                                          std::string(3'000'000, '['))
+                   .has_value());
+
+  // Counts fail closed: a fraction, a negative, or a value past 2^53 (the
+  // doubles' exact integers) marks the line corrupt instead of truncating.
+  const auto with = [&good](std::string_view field, std::string_view value) {
+    std::string line = good;
+    const std::size_t at = line.find(field);
+    EXPECT_NE(at, std::string::npos) << field;
+    const std::size_t start = at + field.size();
+    line.replace(start, line.find_first_of(",}", start) - start, value);
+    return line;
+  };
+  for (const std::string_view field :
+       {"\"trial\":", "\"improved\":", "\"unchanged\":", "\"worsened\":"}) {
+    SCOPED_TRACE(field);
+    for (const std::string_view bad :
+         {"1.5", "-1", "1e300", "9007199254740994", "null", "\"1\""}) {
+      EXPECT_FALSE(hcsched::sim::decode_trial(with(field, bad)).has_value())
+          << bad;
+    }
+    const std::string at_limit = with(field, "9007199254740992");  // 2^53
+    EXPECT_TRUE(hcsched::sim::decode_trial(at_limit).has_value());
+  }
+  const auto edge =
+      hcsched::sim::decode_trial(with("\"trial\":", "9007199254740992"));
+  ASSERT_TRUE(edge.has_value());
+  EXPECT_EQ(edge->first.trial, std::size_t{1} << 53);
+}
+
+TEST(CheckpointCodec, FieldsInAnyOrderUnknownSkippedFirstDuplicateWins) {
+  const std::string line =
+      R"({"quarantined":[{"error":"e","x":[{}],"site":"s","heuristic":"h"}],)"
+      R"("trial":4,"records":[{"gap_exact":true,"original_makespan":2.5,)"
+      R"("worsened":1,"unchanged":0,"improved":3,"improved":"dup",)"
+      R"("makespan_increased":false,"mean_completion_delta":null,)"
+      R"("finish_deltas":[0.25,-1],"heuristic":"MCT","future":{"a":[1]}}],)"
+      R"("seed":"18446744073709551615","point":"p","v":1,"v":"dup"})";
+  const auto decoded = hcsched::sim::decode_trial(line);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->first.point, "p");
+  EXPECT_EQ(decoded->first.seed, 0xFFFFFFFFFFFFFFFFULL);
+  EXPECT_EQ(decoded->first.trial, 4u);
+  ASSERT_EQ(decoded->second.records.size(), 1u);
+  const TrialRecord& r = decoded->second.records[0];
+  EXPECT_EQ(r.heuristic, "MCT");
+  EXPECT_EQ(r.machines_improved, 3u);
+  EXPECT_EQ(r.machines_worsened, 1u);
+  EXPECT_EQ(r.finish_deltas, (std::vector<double>{0.25, -1.0}));
+  EXPECT_FALSE(r.has_mean_completion_delta);
+  EXPECT_FALSE(r.has_gap);  // absent: written before the field existed
+  EXPECT_TRUE(r.gap_exact);
+  EXPECT_EQ(r.original_makespan, 2.5);
+  ASSERT_EQ(decoded->second.quarantined.size(), 1u);
+  const QuarantineRecord& q = decoded->second.quarantined[0];
+  EXPECT_EQ(q.heuristic, "h");
+  EXPECT_EQ(q.site, "s");
+  EXPECT_EQ(q.error, "e");
+  EXPECT_EQ(q.trial, 4u);  // the key's, though "trial" came later
+  EXPECT_EQ(q.study_seed, 0xFFFFFFFFFFFFFFFFULL);
+
+  // A required field missing, or the first of a duplicate of the wrong
+  // kind, is corrupt.
+  std::string no_site = line;
+  no_site.replace(no_site.find(R"("site")"), 6, R"("sight")");
+  EXPECT_FALSE(hcsched::sim::decode_trial(no_site).has_value());
+  std::string bad_first = line;
+  bad_first.replace(bad_first.find(R"("improved":3,)"), 13, "");
+  EXPECT_FALSE(hcsched::sim::decode_trial(bad_first).has_value());
 }
 
 // -- load -----------------------------------------------------------------
@@ -210,6 +284,52 @@ TEST(CheckpointLoad, LaterDuplicateWins) {
   const TrialOutcome* stored = data.find("", 5, 2);
   ASSERT_NE(stored, nullptr);
   EXPECT_EQ(stored->records[0].machines_improved, 9u);
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointLoad, HostileNestingLineIsCountedCorrupt) {
+  const std::string path = tmp_path("nesting");
+  const std::string a =
+      hcsched::sim::encode_trial(CheckpointKey{"", 9, 0}, sample_outcome());
+  write_file(path, a + "\n" + R"({"v":1,"x":)" + std::string(3'000'000, '[') +
+                       "\n" + a + "\n");
+  const CheckpointData data = hcsched::sim::load_checkpoint(path);
+  EXPECT_EQ(data.lines_read, 3u);
+  EXPECT_EQ(data.corrupt_lines, 1u);
+  EXPECT_NE(data.find("", 9, 0), nullptr);
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointLoad, AppendAfterTornTailKeepsEveryNewTrial) {
+  const std::string path = tmp_path("torn_tail");
+  const std::string torn =
+      hcsched::sim::encode_trial(CheckpointKey{"", 9, 7}, sample_outcome());
+  write_file(path,
+             hcsched::sim::encode_trial(CheckpointKey{"", 9, 0},
+                                        sample_outcome()) +
+                 "\n" + torn.substr(0, torn.size() / 2));
+  {
+    // A later run appends to the killed run's file.
+    CheckpointWriter writer(path);
+    writer.append_trial(CheckpointKey{"", 9, 1}, sample_outcome());
+    writer.append_trial(CheckpointKey{"", 9, 2}, sample_outcome());
+  }
+  const CheckpointData data = hcsched::sim::load_checkpoint(path);
+  EXPECT_EQ(data.lines_read, 4u);
+  EXPECT_EQ(data.corrupt_lines, 1u);  // only the torn line itself
+  for (std::size_t trial = 0; trial < 3; ++trial) {
+    EXPECT_NE(data.find("", 9, trial), nullptr) << "trial " << trial;
+  }
+
+  // A file that ends cleanly gets no blank line.
+  std::string before;
+  {
+    std::ifstream in(path, std::ios::binary);
+    before.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  { CheckpointWriter writer(path); }
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in), {}), before);
   std::remove(path.c_str());
 }
 
