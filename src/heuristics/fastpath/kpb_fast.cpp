@@ -2,7 +2,7 @@
 // docs/FASTPATH.md for the full equivalence argument).
 //
 // The reference stable-sorts every machine slot by ETC for every task —
-// O(T x M log M) through Problem::etc_at's double indirection. The ranking
+// O(T x M log M), each compare two Problem::etc_at reads. The ranking
 // it produces is fully determined by the pair key (ETC, slot): stable_sort
 // over iota order breaks ETC ties toward the lower slot. The kernel sorts
 // the same key explicitly over contiguous EtcView rows, and only to depth k

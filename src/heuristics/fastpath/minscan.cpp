@@ -1,54 +1,25 @@
-// The row reductions behind minscan.hpp: one portable body each.
+// The row reductions behind minscan.hpp: the plain scans on the shared
+// four-lane fold (rng/fold4.hpp), plus the Sufferage best-two scan.
 #include "heuristics/fastpath/minscan.hpp"
 
-#include <algorithm>
 #include <limits>
+
+#include "rng/fold4.hpp"
 
 namespace hcsched::heuristics::fastpath::minscan {
 
-namespace {
-
-// Folds pick over at(0) .. at(n - 1) in four independent accumulators: lane
-// j takes the indices i = j (mod 4), the lanes combine at the end and a
-// scalar tail covers n mod 4. The four chains overlap in the pipeline where
-// one running fold would wait on every compare. IEEE min and max over
-// non-NaN values are associative, commutative and idempotent, so the order,
-// and seeding every lane with at(0), change no result beyond the sign of a
-// zero.
-template <typename At, typename Pick>
-double fold4(std::size_t n, At at, Pick pick) noexcept {
-  double a0 = at(0);
-  double a1 = a0;
-  double a2 = a0;
-  double a3 = a0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    a0 = pick(a0, at(i));
-    a1 = pick(a1, at(i + 1));
-    a2 = pick(a2, at(i + 2));
-    a3 = pick(a3, at(i + 3));
-  }
-  double best = pick(pick(a0, a1), pick(a2, a3));
-  for (; i < n; ++i) best = pick(best, at(i));
-  return best;
-}
-
-constexpr auto kMin = [](double a, double b) { return std::min(a, b); };
-constexpr auto kMax = [](double a, double b) { return std::max(a, b); };
-
-}  // namespace
-
 double min_completion(const double* ready, const double* etc,
                       std::size_t n) noexcept {
-  return fold4(n, [=](std::size_t i) { return ready[i] + etc[i]; }, kMin);
+  return rng::fold4(
+      n, [=](std::size_t i) { return ready[i] + etc[i]; }, rng::kFoldMin);
 }
 
 double min_value(const double* v, std::size_t n) noexcept {
-  return fold4(n, [=](std::size_t i) { return v[i]; }, kMin);
+  return rng::fold4(n, [=](std::size_t i) { return v[i]; }, rng::kFoldMin);
 }
 
 double max_value(const double* v, std::size_t n) noexcept {
-  return fold4(n, [=](std::size_t i) { return v[i]; }, kMax);
+  return rng::fold4(n, [=](std::size_t i) { return v[i]; }, rng::kFoldMax);
 }
 
 // The classic strict-< best-two fold. `second` carries multiplicity (a

@@ -2,14 +2,16 @@
 //
 // Every kernel inner loop is one of three reductions over contiguous
 // doubles: min of ready[i] + etc[i] (a fused completion-time scan), or a
-// plain min / max over one array. Each has one portable body that folds in
-// four independent accumulators (minscan.cpp). IEEE min and max are
-// associative and commutative for non-NaN inputs, so that order returns a
-// value equal to the reference's sequential std::min fold (only the sign of
-// a zero result may differ, which no kernel comparison can see). All ETC
-// cells are finite and non-negative; docs/FASTPATH.md states the argument,
-// tests/test_minscan.cpp and tests/test_fastpath_differential.cpp enforce
-// it.
+// plain min / max over one array. All three run on rng::fold4
+// (rng/fold4.hpp), the four-accumulator fold that TieBreaker::choose_min /
+// choose_max use too, so the kernels and the reference loops share one
+// fold body. IEEE min and max are associative and commutative for non-NaN
+// inputs, so that order returns a value equal to a sequential std::min fold
+// (only the sign of a zero result may differ, which no kernel comparison
+// can see). All ETC cells are finite and non-negative; docs/FASTPATH.md
+// states the argument. tests/test_minscan.cpp (these scans) and the
+// TieBreakerFold suite in tests/test_tie_break.cpp (the decisions) check
+// the fold against sequential folds that share no code with it.
 #pragma once
 
 #include <cstddef>

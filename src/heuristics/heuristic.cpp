@@ -74,11 +74,13 @@ Schedule Heuristic::map_seeded(const Problem& problem, TieBreaker& ties,
 void completion_times(const Problem& problem, TaskId task,
                       const std::vector<double>& ready,
                       std::vector<double>& scores) {
-  const std::size_t m = problem.num_machines();
+  const auto& machines = problem.machines();
+  const std::size_t m = machines.size();
   HCSCHED_COUNT(obs::Counter::kEtcCellEvaluations, m);
   scores.resize(m);
+  const auto row = problem.matrix().row(task);
   for (std::size_t slot = 0; slot < m; ++slot) {
-    scores[slot] = ready[slot] + problem.etc_at(task, slot);
+    scores[slot] = ready[slot] + row[static_cast<std::size_t>(machines[slot])];
   }
 }
 

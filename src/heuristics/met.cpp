@@ -4,13 +4,15 @@ namespace hcsched::heuristics {
 
 Schedule Met::do_map(const Problem& problem, TieBreaker& ties) const {
   Schedule schedule(problem);
-  std::vector<double> scores(problem.num_machines());
+  const auto& machines = problem.machines();
+  std::vector<double> scores(machines.size());
   for (TaskId task : problem.tasks()) {
-    for (std::size_t slot = 0; slot < problem.num_machines(); ++slot) {
-      scores[slot] = problem.etc_at(task, slot);
+    const auto row = problem.matrix().row(task);
+    for (std::size_t slot = 0; slot < scores.size(); ++slot) {
+      scores[slot] = row[static_cast<std::size_t>(machines[slot])];
     }
     const std::size_t slot = ties.choose_min(scores);
-    schedule.assign(task, problem.machines()[slot]);
+    schedule.assign(task, machines[slot]);
   }
   return schedule;
 }

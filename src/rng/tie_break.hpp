@@ -14,6 +14,7 @@
 // (2.5, 6.5 in the paper's SWA example) tie exactly when intended.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -46,10 +47,10 @@ class TieBreaker {
   TiePolicy policy() const noexcept { return policy_; }
   double epsilon() const noexcept { return epsilon_; }
 
-  /// Whether two scores are considered equal.
+  /// Whether two scores are considered equal. std::fabs keeps the tie pass
+  /// in choose_tied free of branches.
   bool tied(double a, double b) const noexcept {
-    const double d = a - b;
-    return (d < 0 ? -d : d) <= epsilon_;
+    return std::fabs(a - b) <= epsilon_;
   }
 
   /// Index of the chosen minimal element of `scores` (empty input is a

@@ -2,14 +2,14 @@
 // once per map by every code path that scans them hot — the fastpath
 // kernels and ga::Evaluator.
 //
-// Problem::etc_at(task, slot) dereferences the machine-id vector and the
-// full matrix on every call; a view row is one flat buffer instead. Cells
-// are stored with the machine slot as the minor (contiguous) dimension —
-// row(p) is task p's completion-cost row across the problem's machine slots
-// — because every rescore walks exactly that row, and the fastpath min-scan
-// walks it at unit stride. Values are verbatim copies of the matrix
-// doubles, so arithmetic on a view row is bit-identical to arithmetic
-// through Problem::etc_at.
+// Problem::etc_at(task, slot) reads the task's full matrix row through the
+// machine-id vector on every call; a view row is one flat buffer instead.
+// Cells are stored with the machine slot as the minor (contiguous)
+// dimension — row(p) is task p's completion-cost row across the problem's
+// machine slots — because every rescore walks exactly that row, and the
+// fastpath min-scan walks it at unit stride. Values are verbatim copies of
+// the matrix doubles, so arithmetic on a view row is bit-identical to
+// arithmetic through Problem::etc_at.
 //
 // A view lives for one map and is never updated: a fresh gather each round
 // of the iterative technique costs about what compacting the previous

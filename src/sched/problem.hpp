@@ -20,6 +20,7 @@
 #include <span>
 #include <vector>
 
+#include "core/check.hpp"
 #include "etc/etc_matrix.hpp"
 
 namespace hcsched::sched {
@@ -60,9 +61,22 @@ class Problem {
     return ready_;
   }
 
-  /// ETC of `task` on the machine occupying `slot`.
+  /// ETC of `task` on the machine occupying `slot`: one inline read of the
+  /// task's matrix row. Hot-path accessor with a precondition, not a
+  /// throwing check: `task` must be a row of matrix() and
+  /// `slot < num_machines()` (checked in O(1) only when contract checks are
+  /// compiled in). The constructor range-checked every machine id, so the
+  /// slot's column is inside the row. Untrusted callers use
+  /// matrix().at(task, machine), which throws.
   double etc_at(TaskId task, std::size_t slot) const {
-    return matrix_->at(task, machines_[slot]);
+    HCSCHED_PRECONDITION(task >= 0 &&
+                             static_cast<std::size_t>(task) <
+                                 matrix_->num_tasks() &&
+                             slot < machines_.size(),
+                         "etc_at(", task, ", ", slot, ") outside ",
+                         matrix_->num_tasks(), " tasks x ", machines_.size(),
+                         " slots");
+    return matrix_->row(task)[static_cast<std::size_t>(machines_[slot])];
   }
 
   /// Position of `machine` in machines(), or npos when absent.

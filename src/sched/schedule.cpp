@@ -55,7 +55,8 @@ double Schedule::assign(TaskId task, MachineId machine) {
   a.task = task;
   a.machine = machine;
   a.start = ready_[slot];
-  a.finish = a.start + problem_.matrix().at(task, machine);
+  // Both ids were checked above, so the cell read needs no check of its own.
+  a.finish = a.start + problem_.etc_at(task, slot);
   // Machine completion times only ever grow as tasks are appended (ETC
   // entries are non-negative execution-time estimates).
   HCSCHED_INVARIANT(a.finish >= a.start, "task ", task, " on machine ",

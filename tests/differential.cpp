@@ -1,7 +1,9 @@
 #include "differential.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <span>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -11,6 +13,7 @@
 #include "heuristics/registry.hpp"
 #include "obs/counters.hpp"
 #include "rng/rng.hpp"
+#include "sched/etc_view.hpp"
 
 namespace hcsched::heuristics::fastpath {
 
@@ -248,6 +251,67 @@ DifferentialOutcome run_differential_case(const DifferentialCase& c) {
   }
   outcome.equivalent = outcome.divergence.empty();
   return outcome;
+}
+
+std::string cell_source_divergence(std::uint64_t seed) {
+  rng::Rng rng(seed ^ 0x5bd1e9955bd1e995ull);
+  const std::size_t n = 1 + static_cast<std::size_t>(rng.below(40));
+  const std::size_t m = 1 + static_cast<std::size_t>(rng.below(12));
+  // Continuous cells (and some exact zeros): a read of the wrong cell shows
+  // up as a different value.
+  std::vector<double> values(n * m);
+  for (double& v : values) {
+    v = rng.chance(0.2) ? 0.0 : rng.uniform(0.0, 1000.0);
+  }
+  const etc::EtcMatrix matrix =
+      etc::EtcMatrix::from_values(n, m, std::move(values));
+  // A shuffled subset, so slot s holds some machine other than s.
+  std::vector<sched::TaskId> tasks;
+  for (std::size_t t = 0; t < n; ++t) {
+    if (!rng.chance(0.25)) tasks.push_back(static_cast<sched::TaskId>(t));
+  }
+  std::vector<sched::MachineId> machines;
+  for (std::size_t k = 0; k < m; ++k) {
+    if (!rng.chance(0.25)) {
+      machines.push_back(static_cast<sched::MachineId>(k));
+    }
+  }
+  if (machines.empty()) {
+    machines.push_back(static_cast<sched::MachineId>(m - 1));
+  }
+  rng.shuffle(std::span<sched::TaskId>(tasks));
+  rng.shuffle(std::span<sched::MachineId>(machines));
+  Problem problem(matrix, std::move(tasks), std::move(machines));
+
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (std::size_t step = 0;; ++step) {
+    const sched::EtcView view(problem);
+    for (std::size_t p = 0; p < problem.num_tasks(); ++p) {
+      const sched::TaskId task = problem.tasks()[p];
+      const auto row = view.row(p);
+      for (std::size_t slot = 0; slot < problem.num_machines(); ++slot) {
+        const double want = matrix.at(task, problem.machines()[slot]);
+        const double got = problem.etc_at(task, slot);
+        if (bits(got) != bits(want) || bits(row[slot]) != bits(want)) {
+          std::ostringstream out;
+          out << "cell-source seed=" << seed << " step=" << step
+              << " task=" << task << " slot=" << slot << ": matrix.at "
+              << want << ", etc_at " << got << ", EtcView " << row[slot];
+          return out.str();
+        }
+      }
+    }
+    if (problem.num_machines() == 1) return "";
+    // Remove a random slot and a random subset of task rows (possibly none,
+    // as when the removed machine held no task).
+    const std::size_t slot =
+        static_cast<std::size_t>(rng.below(problem.num_machines()));
+    std::vector<std::size_t> rows;
+    for (std::size_t p = 0; p < problem.num_tasks(); ++p) {
+      if (rng.below(problem.num_machines()) == 0) rows.push_back(p);
+    }
+    problem.remove_machine(slot, rows);
+  }
 }
 
 std::string describe(const DifferentialCase& c) {

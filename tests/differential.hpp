@@ -64,6 +64,15 @@ struct DifferentialOutcome {
 /// per-iteration makespan machines, and the final finishing-time table.
 DifferentialOutcome run_differential_case(const DifferentialCase& c);
 
+/// Cell-source property, independent of the row path the reference loops
+/// and the kernels share: over a random matrix and a shuffled task/machine
+/// subset derived from `seed`, along one full random removal sequence
+/// (Problem::remove_machine until one machine is left), every
+/// Problem::etc_at(task, slot) and every sched::EtcView row cell must
+/// bit-equal matrix.at(task, machines()[slot]), the bounds-checked read.
+/// Returns "" when they all do, else the first mismatch.
+std::string cell_source_divergence(std::uint64_t seed);
+
 /// One-line repro description, e.g.
 /// "seed=7 t=24 m=6 consistency=semi policy=random heuristic=Sufferage".
 std::string describe(const DifferentialCase& c);

@@ -13,6 +13,11 @@
 // --seeds; the sweep is deterministic and a divergence prints the full
 // case, which plugs straight back into the unit suite.
 //
+// Each seed also runs the cell-source property (cell_source_divergence):
+// the reference loops and the kernels read the same ETC rows, so this is
+// the check that keeps those reads tied to the bounds-checked
+// EtcMatrix::at. Its count is the second summary line.
+//
 // Usage: fastpath_fuzz [--seeds N]
 //   --seeds N   number of seeds to sweep, 1..N (default 256; cases per
 //               seed = 3 x kernel_table().size() + 4)
@@ -117,7 +122,13 @@ int main(int argc, char** argv) {
 
   std::size_t cases = 0;
   std::size_t divergences = 0;
+  std::size_t cell_divergences = 0;
   for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
+    const std::string cells = fastpath::cell_source_divergence(seed);
+    if (!cells.empty()) {
+      ++cell_divergences;
+      std::cout << "DIVERGENCE " << cells << "\n";
+    }
     for (std::size_t variation = 0; variation < cases_per_seed();
          ++variation) {
       const fastpath::DifferentialCase c = derive_case(seed, variation);
@@ -134,5 +145,8 @@ int main(int argc, char** argv) {
   std::cout << "fastpath_fuzz: " << cases << " cases over " << seeds
             << " seeds, " << divergences << " divergence"
             << (divergences == 1 ? "" : "s") << "\n";
-  return divergences == 0 ? 0 : 1;
+  std::cout << "fastpath_fuzz: cell sources along " << seeds
+            << " removal sequences, " << cell_divergences << " divergence"
+            << (cell_divergences == 1 ? "" : "s") << "\n";
+  return divergences == 0 && cell_divergences == 0 ? 0 : 1;
 }

@@ -16,6 +16,11 @@
 // reuse context's KPB rankings must equal a fresh sort of the shrunk
 // problem, and only that problem object may find the context.
 //
+// The cell-source test walks full random removal sequences and requires
+// every Problem::etc_at and EtcView cell to bit-equal EtcMatrix::at: the
+// reference loops and the kernels share that row path, so only a check
+// against the bounds-checked read can see it go wrong.
+//
 // The seed-contract test pins the map_seeded contract the minimizer relies
 // on: every seed consumer returns the same mapping whether it gets the full
 // previous schedule or its restriction to the problem.
@@ -33,6 +38,7 @@
 
 #include "core/iterative.hpp"
 #include "core/paper_examples.hpp"
+#include "differential.hpp"
 #include "etc/cvb_generator.hpp"
 #include "ga/genitor.hpp"
 #include "heuristics/fastpath/reuse.hpp"
@@ -308,6 +314,17 @@ TEST(IterativeLoop, ReuseContextFollowsTheShrinkingProblemInLockstep) {
       current.remove_machine(slot, rows);
       reuse.apply_removal(slot, rows);
     }
+  }
+}
+
+TEST(IterativeLoop, CellSourcesMatchTheMatrixAlongRemovalSequences) {
+  // The reference loops and the kernels read the same rows (Problem::etc_at
+  // and sched::EtcView), so the differential tests above cannot catch a
+  // shifted or stale cell that both see. Along full random removal
+  // sequences, both must bit-equal the bounds-checked EtcMatrix::at.
+  for (std::uint64_t seed = 1; seed <= 128; ++seed) {
+    EXPECT_EQ(hcsched::heuristics::fastpath::cell_source_divergence(seed), "")
+        << "seed " << seed;
   }
 }
 

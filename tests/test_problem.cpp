@@ -211,4 +211,22 @@ TEST(EtcView, IsVerbatimCopyOfProblemCells) {
   EXPECT_EQ(view.row(0)[1], 6.5);
 }
 
+#if HCSCHED_CHECK_ENABLED
+using ProblemDeathTest = ::testing::Test;
+
+TEST(ProblemDeathTest, EtcAtPreconditionTripsOutsideTheMatrixOrSlots) {
+  // etc_at reads the row without a throwing check; its O(1) precondition
+  // still stops a task id outside the matrix and a slot past the problem's
+  // machines whenever contract checks are compiled in. (A task of the
+  // matrix that the problem does not hold is inside the contract: it reads
+  // that task's cell.)
+  const EtcMatrix m = matrix3x3();
+  const Problem p(m, {2, 0}, {1, 2});
+  EXPECT_EQ(p.etc_at(1, 1), m.at(1, 2));
+  EXPECT_DEATH((void)p.etc_at(3, 0), "PRECONDITION violated");
+  EXPECT_DEATH((void)p.etc_at(-1, 0), "PRECONDITION violated");
+  EXPECT_DEATH((void)p.etc_at(0, 2), "PRECONDITION violated");
+}
+#endif  // HCSCHED_CHECK_ENABLED
+
 }  // namespace

@@ -31,32 +31,41 @@ std::vector<std::size_t> test_script(std::uint64_t seed) {
 /// A TieBreaker under `policy` plus the RNG it draws from, for side-by-side
 /// comparisons of two identically-configured instances.
 struct PolicyCase {
-  explicit PolicyCase(TiePolicy policy, std::uint64_t seed)
-      : rng(seed), ties(make(policy, rng, seed)) {}
+  explicit PolicyCase(TiePolicy policy, std::uint64_t seed,
+                      double epsilon = TieBreaker::kDefaultEpsilon)
+      : rng(seed), ties(make(policy, rng, seed, epsilon)) {}
 
-  static TieBreaker make(TiePolicy policy, Rng& rng, std::uint64_t seed) {
+  static TieBreaker make(TiePolicy policy, Rng& rng, std::uint64_t seed,
+                         double epsilon) {
     switch (policy) {
       case TiePolicy::kRandom:
-        return TieBreaker(rng);
+        return TieBreaker(rng, epsilon);
       case TiePolicy::kScripted:
-        return TieBreaker(test_script(seed));
+        return TieBreaker(test_script(seed), epsilon);
       case TiePolicy::kDeterministic:
         break;
     }
-    return TieBreaker();
+    // TieBreaker() fixes epsilon at the default; at any other epsilon the
+    // deterministic policy is the empty script, which the header defines
+    // to pick the first tied candidate.
+    return epsilon == TieBreaker::kDefaultEpsilon
+               ? TieBreaker()
+               : TieBreaker(std::vector<std::size_t>{}, epsilon);
   }
 
   Rng rng;
   TieBreaker ties;
 };
 
-/// The pre-allocation-free choose_min/choose_max, built the obvious way:
-/// collect the tied indices into a vector, then pick one under the policy.
-/// Tracks its own decision/tie-event counts and script position.
+/// choose_min/choose_max built the obvious way: a sequential std::min /
+/// std::max chain, the tied indices collected into a vector, then one picked
+/// under the policy. Tracks its own decision/tie-event counts and script
+/// position, and shares no code with src/rng/.
 class OracleTieBreaker {
  public:
-  OracleTieBreaker(TiePolicy policy, Rng& rng, std::uint64_t seed)
-      : policy_(policy), rng_(&rng) {
+  OracleTieBreaker(TiePolicy policy, Rng& rng, std::uint64_t seed,
+                   double epsilon = TieBreaker::kDefaultEpsilon)
+      : policy_(policy), rng_(&rng), epsilon_(epsilon) {
     if (policy == TiePolicy::kScripted) script_ = test_script(seed);
   }
 
@@ -69,7 +78,7 @@ class OracleTieBreaker {
     std::vector<std::size_t> tied;
     for (std::size_t i = 0; i < scores.size(); ++i) {
       const double d = best - scores[i];
-      if ((d < 0 ? -d : d) <= TieBreaker::kDefaultEpsilon) tied.push_back(i);
+      if ((d < 0 ? -d : d) <= epsilon_) tied.push_back(i);
     }
     if (tied.size() == 1) return tied.front();
     ++tie_events;
@@ -93,6 +102,7 @@ class OracleTieBreaker {
  private:
   TiePolicy policy_;
   Rng* rng_;
+  double epsilon_;
   std::vector<std::size_t> script_{};
   std::size_t script_pos_ = 0;
 };
@@ -295,6 +305,138 @@ TEST(TieBreaker, AccountUniqueEqualsSingletonChooseAmong) {
       EXPECT_EQ(bulk.rng.next_u64(), single.rng.next_u64()) << what;
     }
   }
+}
+
+// ------------------------------------------------------------ TieBreakerFold
+//
+// choose_min / choose_max take their extreme from rng::fold4, the same fold
+// the fastpath kernels use, and find the tied set in one pass, so the
+// reference-vs-kernel differential suite no longer checks either against
+// independent code. This suite does: every length from 1 to 70 (each of the
+// four lanes and every tail length holds the extreme somewhere), both an
+// exact and the default epsilon, every policy, against OracleTieBreaker.
+
+constexpr std::size_t kFoldMaxLen = 70;
+constexpr double kFoldEpsilons[] = {0.0, 1e-9};
+
+/// One subject TieBreaker and its oracle twin under the same policy and
+/// epsilon, random ones drawing from equally-seeded RNGs.
+struct FoldPair {
+  FoldPair(TiePolicy policy, double epsilon, std::uint64_t seed)
+      : subject(policy, seed, epsilon),
+        twin_rng(seed),
+        twin(policy, twin_rng, seed, epsilon) {}
+
+  /// Runs choose_min and choose_max on `scores` through both and checks
+  /// the chosen indices agree.
+  void check(const std::vector<double>& scores, const std::string& where) {
+    for (const bool largest : {false, true}) {
+      const std::size_t got = largest ? subject.ties.choose_max(scores)
+                                      : subject.ties.choose_min(scores);
+      const std::size_t want = twin.choose(scores, largest);
+      ASSERT_EQ(got, want) << where << (largest ? " choose_max" : " choose_min")
+                           << " n=" << scores.size();
+    }
+  }
+
+  /// Counts and, for the random policy, the RNG streams left behind.
+  void check_state(const std::string& where) {
+    EXPECT_EQ(subject.ties.decisions(), twin.decisions) << where;
+    EXPECT_EQ(subject.ties.tie_events(), twin.tie_events) << where;
+    EXPECT_EQ(subject.rng.next_u64(), twin_rng.next_u64()) << where;
+  }
+
+  PolicyCase subject;
+  Rng twin_rng;
+  OracleTieBreaker twin;
+};
+
+/// Runs `body(pair, where)` for every policy and epsilon, then compares the
+/// pair's counts and RNG streams. Stops at the first failing pair, so a
+/// broken subject is reported once instead of once per row.
+template <typename Body>
+void for_each_fold_pair(std::uint64_t seed, Body body) {
+  for (const TiePolicy policy : kPolicies) {
+    for (const double epsilon : kFoldEpsilons) {
+      FoldPair pair(policy, epsilon, seed);
+      const std::string where =
+          "policy " + std::to_string(static_cast<int>(policy)) +
+          " epsilon " + ::testing::PrintToString(epsilon);
+      body(pair, where);
+      pair.check_state(where);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+TEST(TieBreakerFold, RandomRowsMatchOracle) {
+  for_each_fold_pair(11, [](FoldPair& pair, const std::string& where) {
+    Rng gen(101);
+    for (std::size_t n = 1; n <= kFoldMaxLen; ++n) {
+      for (int rep = 0; rep < 4; ++rep) {
+        std::vector<double> row(n);
+        for (double& v : row) v = gen.uniform(0.0, 100.0);
+        pair.check(row, where);
+      }
+    }
+  });
+}
+
+TEST(TieBreakerFold, AllEqualRowsMatchOracle) {
+  // Every entry ties: the whole row is the tied set, so every policy draws
+  // and the find pass walks to the drawn member.
+  for_each_fold_pair(12, [](FoldPair& pair, const std::string& where) {
+    for (std::size_t n = 1; n <= kFoldMaxLen; ++n) {
+      pair.check(std::vector<double>(n, 7.25), where);
+      pair.check(std::vector<double>(n, 0.0), where);
+    }
+  });
+}
+
+TEST(TieBreakerFold, TieRichRowsMatchOracle) {
+  // Small integers make exact ties the norm; sub-nanosecond jitter on some
+  // cells ties at epsilon 1e-9 but not at 0, and a few -0.0 / +0.0 pairs
+  // probe the one difference the four-lane fold may make (a zero's sign).
+  for_each_fold_pair(13, [](FoldPair& pair, const std::string& where) {
+    Rng gen(103);
+    for (std::size_t n = 1; n <= kFoldMaxLen; ++n) {
+      for (int rep = 0; rep < 6; ++rep) {
+        std::vector<double> row(n);
+        for (double& v : row) {
+          v = static_cast<double>(gen.below(4));
+          if (gen.chance(0.2)) v += 1e-10;
+          if (v == 0.0 && gen.chance(0.5)) v = -0.0;
+        }
+        pair.check(row, where);
+      }
+    }
+  });
+}
+
+TEST(TieBreakerFold, ExtremeAtEveryIndexMatchesOracle) {
+  // A unique minimum (then a unique maximum) at every index of every length
+  // puts the extreme in each of the four lanes and in every tail position;
+  // a second copy of it later in the row makes the same spot the first of
+  // a genuine tie.
+  for_each_fold_pair(14, [](FoldPair& pair, const std::string& where) {
+    Rng gen(107);
+    for (std::size_t n = 1; n <= kFoldMaxLen; ++n) {
+      for (std::size_t at = 0; at < n; ++at) {
+        std::vector<double> row(n);
+        for (double& v : row) v = gen.uniform(10.0, 90.0);
+        for (const double extreme : {1.0, 99.0}) {
+          std::vector<double> probe = row;
+          probe[at] = extreme;
+          pair.check(probe, where + " extreme at " + std::to_string(at));
+          if (at + 1 < n) {
+            probe[n - 1] = extreme;
+            pair.check(probe, where + " tied extreme at " +
+                                  std::to_string(at));
+          }
+        }
+      }
+    }
+  });
 }
 
 }  // namespace

@@ -43,6 +43,8 @@ constexpr std::pair<std::string_view, std::string_view> kFileComponents[] = {
     {"src/core/cancel.hpp", "core/base"},
     {"src/core/cancel.cpp", "core/base"},
     {"src/core/thread_annotations.hpp", "core/base"},
+    {"src/obs/json.hpp", "obs/json"},
+    {"src/obs/json.cpp", "obs/json"},
     {"src/obs/report.hpp", "obs/report"},
     {"src/obs/report.cpp", "obs/report"},
     {"src/ga/genitor.hpp", "ga/genitor"},
@@ -80,7 +82,8 @@ const std::map<std::string, std::vector<std::string>>& component_deps() {
   static const std::map<std::string, std::vector<std::string>> deps = {
       {"core/base", {}},
       {"rng", {"core/base"}},
-      {"obs", {"core/base", "rng"}},
+      {"obs/json", {}},
+      {"obs", {"core/base", "rng", "obs/json"}},
       {"sim/fault", {"core/base", "rng"}},
       {"etc", {"core/base", "rng"}},
       {"sched", {"core/base", "etc"}},
@@ -101,12 +104,12 @@ const std::map<std::string, std::vector<std::string>>& component_deps() {
       {"obs/report",
        {"core/base", "core/algo", "rng", "etc", "sched", "obs", "report"}},
       {"report", {"core/base", "etc", "sched"}},
-      // Drivers and harnesses above src/. The analyzer is dependency-free
-      // by design (it must build before anything else is sane). Benches may
-      // use the full study/driver surface but NOT GA/search internals — a
-      // bench poking those marks the audited include
-      // '// lint:allow(layering)'.
-      {"tools/analyze", {}},
+      // Drivers and harnesses above src/. The analyzer depends on nothing
+      // but obs/json, which includes only the standard library (the
+      // analyzer must build before anything else is sane). Benches may use
+      // the full study/driver surface but NOT GA/search internals — a bench
+      // poking those marks the audited include '// lint:allow(layering)'.
+      {"tools/analyze", {"obs/json"}},
       {"tools/bench_check",
        {"core/base", "rng", "etc", "sched", "heuristics", "obs"}},
       {"tools/cli",

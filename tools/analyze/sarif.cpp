@@ -9,31 +9,16 @@
 #include <sstream>
 
 #include "analyze/engine.hpp"
+#include "obs/json.hpp"
 
 namespace analyze {
 namespace {
 
-std::string json_escape(std::string_view s) {
+/// `s` as a quoted JSON string literal, by the repository's one JSON string
+/// writer (src/obs/json.cpp, compiled into analyze_core).
+std::string json_string(std::string_view s) {
   std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(static_cast<unsigned char>(c) >> 4) & 0xF];
-          out += hex[static_cast<unsigned char>(c) & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
+  hcsched::obs::append_json_string(out, s);
   return out;
 }
 
@@ -131,10 +116,9 @@ std::string to_sarif(const std::vector<Finding>& findings) {
     if (i > 0) out << ",";
     const auto d = desc.find(rules[i]);
     out << "\n            {\n"
-        << "              \"id\": \"" << json_escape(rules[i]) << "\",\n"
-        << "              \"shortDescription\": { \"text\": \""
-        << json_escape(d == desc.end() ? rules[i] : d->second)
-        << "\" }\n"
+        << "              \"id\": " << json_string(rules[i]) << ",\n"
+        << "              \"shortDescription\": { \"text\": "
+        << json_string(d == desc.end() ? rules[i] : d->second) << " }\n"
         << "            }";
   }
   if (!rules.empty()) out << "\n          ";
@@ -147,16 +131,16 @@ std::string to_sarif(const std::vector<Finding>& findings) {
     const Finding& f = findings[i];
     if (i > 0) out << ",";
     out << "\n        {\n"
-        << "          \"ruleId\": \"" << json_escape(f.rule) << "\",\n"
+        << "          \"ruleId\": " << json_string(f.rule) << ",\n"
         << "          \"ruleIndex\": " << rule_index[f.rule] << ",\n"
         << "          \"level\": \"warning\",\n"
-        << "          \"message\": { \"text\": \"" << json_escape(f.message)
-        << "\" },\n"
+        << "          \"message\": { \"text\": " << json_string(f.message)
+        << " },\n"
         << "          \"locations\": [\n"
         << "            {\n"
         << "              \"physicalLocation\": {\n"
-        << "                \"artifactLocation\": { \"uri\": \""
-        << json_escape(f.file) << "\" }";
+        << "                \"artifactLocation\": { \"uri\": "
+        << json_string(f.file) << " }";
     if (f.line != 0) {
       out << ",\n                \"region\": { \"startLine\": " << f.line
           << " }";
