@@ -1,23 +1,27 @@
 #include "core/witness.hpp"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "core/thread_annotations.hpp"
 
 namespace hcsched::core {
 
 etc::EtcMatrix sample_matrix(const WitnessSpec& spec, rng::Rng& rng) {
-  etc::EtcMatrix m(spec.num_tasks, spec.num_machines);
+  const std::size_t cells =
+      etc::EtcMatrix::cell_count(spec.num_tasks, spec.num_machines);
+  std::vector<double> values;
+  values.reserve(cells);
   const int steps = spec.max_etc - spec.min_etc;
-  for (std::size_t t = 0; t < spec.num_tasks; ++t) {
-    for (std::size_t j = 0; j < spec.num_machines; ++j) {
-      double v = static_cast<double>(
-          rng.between(0, static_cast<std::int64_t>(steps)) + spec.min_etc);
-      if (spec.half_integers && rng.chance(0.25)) v += 0.5;
-      m.at(static_cast<etc::TaskId>(t), static_cast<etc::MachineId>(j)) = v;
-    }
+  for (std::size_t cell = 0; cell < cells; ++cell) {
+    double v = static_cast<double>(
+        rng.between(0, static_cast<std::int64_t>(steps)) + spec.min_etc);
+    if (spec.half_integers && rng.chance(0.25)) v += 0.5;
+    values.push_back(v);
   }
-  return m;
+  return etc::EtcMatrix::from_values(spec.num_tasks, spec.num_machines,
+                                     std::move(values));
 }
 
 std::optional<IterativeResult> try_matrix(

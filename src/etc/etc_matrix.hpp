@@ -77,11 +77,11 @@ class EtcMatrix {
 
   bool operator==(const EtcMatrix& other) const = default;
 
- private:
   /// num_tasks x num_machines; throws std::invalid_argument on overflow.
   static std::size_t cell_count(std::size_t num_tasks,
                                 std::size_t num_machines);
 
+ private:
   std::size_t index(TaskId task, MachineId machine) const {
     if (task < 0 || static_cast<std::size_t>(task) >= tasks_ || machine < 0 ||
         static_cast<std::size_t>(machine) >= machines_) {

@@ -1,6 +1,8 @@
 #include "etc/range_generator.hpp"
 
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 namespace hcsched::etc {
 
@@ -31,18 +33,21 @@ RangeParams range_preset(Heterogeneity h, std::size_t num_tasks,
 }
 
 EtcMatrix RangeEtcGenerator::generate(rng::Rng& rng) const {
-  if (params_.task_range < 1.0 || params_.machine_range < 1.0) {
+  // Written as !(range >= 1) so a NaN range fails too.
+  if (!(params_.task_range >= 1.0) || !(params_.machine_range >= 1.0)) {
     throw std::invalid_argument("RangeEtcGenerator: ranges must be >= 1");
   }
-  EtcMatrix m(params_.num_tasks, params_.num_machines);
+  std::vector<double> values;
+  values.reserve(EtcMatrix::cell_count(params_.num_tasks,
+                                       params_.num_machines));
   for (std::size_t t = 0; t < params_.num_tasks; ++t) {
     const double baseline = rng.uniform(1.0, params_.task_range);
     for (std::size_t j = 0; j < params_.num_machines; ++j) {
-      m.at(static_cast<TaskId>(t), static_cast<MachineId>(j)) =
-          baseline * rng.uniform(1.0, params_.machine_range);
+      values.push_back(baseline * rng.uniform(1.0, params_.machine_range));
     }
   }
-  return m;
+  return EtcMatrix::from_values(params_.num_tasks, params_.num_machines,
+                                std::move(values));
 }
 
 }  // namespace hcsched::etc

@@ -19,7 +19,9 @@
 //
 // Production always dispatches to the kernels. The reference loops stay
 // reachable through one test seam, ScopedMode, which the differential
-// suite and the paper-example tests use to run both paths.
+// suite and the paper-example tests use to run both paths. MET, MCT, OLB
+// and SWA have no kernel: each of their rounds is already one scan, so a
+// kernel buys little (SWA's bought about 1.2x per run; docs/FASTPATH.md).
 #pragma once
 
 #include <span>
@@ -27,7 +29,6 @@
 #include "heuristics/heuristic.hpp"
 #include "heuristics/kpb.hpp"
 #include "heuristics/sufferage.hpp"
-#include "heuristics/swa.hpp"
 
 // Always 1: the kernels are the only production dispatch. Kept as a plain
 // constant because bench/pipeline/main.cpp records it in its build
@@ -88,25 +89,19 @@ Schedule sufferage_fast(const Problem& problem, TieBreaker& ties,
 Schedule kpb_fast(const Problem& problem, TieBreaker& ties,
                   std::size_t subset_size, std::vector<KpbStep>* trace);
 
-/// Switching Algorithm: incremental min/max ready-time maintenance for the
-/// balance index; MET rounds score straight off the ETC view row.
-Schedule swa_fast(const Problem& problem, TieBreaker& ties, double low,
-                  double high, std::vector<SwaStep>* trace);
-
 // ---------------------------------------------------------------------------
 // Dispatch table: the single source of truth for which heuristics have a
-// kernel. The differential suite, the fuzzer and the bench derive their
-// coverage from this table, so adding a kernel without registering it here
-// cannot silently escape the equivalence matrix (and the table's canonical
-// `name` ties each entry back to heuristics::make_heuristic for the
-// iterative-loop differential).
+// kernel (Min-Min, Max-Min, Sufferage and KPB). The differential suite,
+// the fuzzer and the bench derive their coverage from this table, so
+// adding a kernel without registering it here cannot silently escape the
+// equivalence matrix (and the table's canonical `name` ties each entry
+// back to heuristics::make_heuristic for the iterative-loop differential).
 
 enum class Kernel : std::uint8_t {
   kMinMin,
   kMaxMin,
   kSufferage,
   kKpb,
-  kSwa,
 };
 
 struct KernelInfo {

@@ -55,25 +55,12 @@ Schedule kpb_fast_default(const Problem& problem, TieBreaker& ties) {
                   nullptr);
 }
 
-Schedule swa_reference_default(const Problem& problem, TieBreaker& ties) {
-  const Swa swa;
-  return detail::swa_reference(problem, ties, swa.low_threshold(),
-                               swa.high_threshold(), nullptr);
-}
-
-Schedule swa_fast_default(const Problem& problem, TieBreaker& ties) {
-  const Swa swa;
-  return swa_fast(problem, ties, swa.low_threshold(), swa.high_threshold(),
-                  nullptr);
-}
-
 constexpr KernelInfo kTable[] = {
     {Kernel::kMinMin, "Min-Min", &minmin_reference, &minmin_fast},
     {Kernel::kMaxMin, "Max-Min", &maxmin_reference, &maxmin_fast},
     {Kernel::kSufferage, "Sufferage", &sufferage_reference_default,
      &sufferage_fast_default},
     {Kernel::kKpb, "KPB", &kpb_reference_default, &kpb_fast_default},
-    {Kernel::kSwa, "SWA", &swa_reference_default, &swa_fast_default},
 };
 
 }  // namespace

@@ -1,5 +1,5 @@
-// The row reductions behind minscan.hpp: the plain scans on the shared
-// four-lane fold (rng/fold4.hpp), plus the Sufferage best-two scan.
+// The row reductions behind minscan.hpp: the completion-time scan on the
+// shared four-lane fold (rng/fold4.hpp), plus the Sufferage best-two scan.
 #include "heuristics/fastpath/minscan.hpp"
 
 #include <limits>
@@ -12,14 +12,6 @@ double min_completion(const double* ready, const double* etc,
                       std::size_t n) noexcept {
   return rng::fold4(
       n, [=](std::size_t i) { return ready[i] + etc[i]; }, rng::kFoldMin);
-}
-
-double min_value(const double* v, std::size_t n) noexcept {
-  return rng::fold4(n, [=](std::size_t i) { return v[i]; }, rng::kFoldMin);
-}
-
-double max_value(const double* v, std::size_t n) noexcept {
-  return rng::fold4(n, [=](std::size_t i) { return v[i]; }, rng::kFoldMax);
 }
 
 // The classic strict-< best-two fold. `second` carries multiplicity (a

@@ -1,17 +1,16 @@
-// Min/max scan primitives for the fastpath kernels.
+// Min scan primitives for the fastpath kernels.
 //
-// Every kernel inner loop is one of three reductions over contiguous
-// doubles: min of ready[i] + etc[i] (a fused completion-time scan), or a
-// plain min / max over one array. All three run on rng::fold4
-// (rng/fold4.hpp), the four-accumulator fold that TieBreaker::choose_min /
-// choose_max use too, so the kernels and the reference loops share one
-// fold body. IEEE min and max are associative and commutative for non-NaN
-// inputs, so that order returns a value equal to a sequential std::min fold
-// (only the sign of a zero result may differ, which no kernel comparison
-// can see). All ETC cells are finite and non-negative; docs/FASTPATH.md
-// states the argument. tests/test_minscan.cpp (these scans) and the
-// TieBreakerFold suite in tests/test_tie_break.cpp (the decisions) check
-// the fold against sequential folds that share no code with it.
+// The fused completion-time scan, min of ready[i] + etc[i] over contiguous
+// doubles, runs on rng::fold4 (rng/fold4.hpp), the four-accumulator fold
+// that TieBreaker::choose_min / choose_max use too, so the kernels and the
+// reference loops share one fold body. IEEE min is associative and
+// commutative for non-NaN inputs, so that order returns a value equal to a
+// sequential std::min fold (only the sign of a zero result may differ,
+// which no kernel comparison can see). All ETC cells are finite and
+// non-negative; docs/FASTPATH.md states the argument. tests/test_minscan.cpp
+// (these scans) and the TieBreakerFold suite in tests/test_tie_break.cpp
+// (the decisions) check the fold against sequential folds that share no
+// code with it.
 #pragma once
 
 #include <cstddef>
@@ -21,10 +20,6 @@ namespace hcsched::heuristics::fastpath::minscan {
 /// min over i in [0, n) of ready[i] + etc[i]. n must be >= 1.
 double min_completion(const double* ready, const double* etc,
                       std::size_t n) noexcept;
-
-/// min / max over i in [0, n) of v[i]. n must be >= 1.
-double min_value(const double* v, std::size_t n) noexcept;
-double max_value(const double* v, std::size_t n) noexcept;
 
 /// Result of sufferage_scan over the scores x[i] = ready[i] + etc[i].
 struct SufferageScan {

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "heuristics/fastpath/fastpath.hpp"
-
 namespace hcsched::heuristics {
 
 Swa::Swa(double low_threshold, double high_threshold)
@@ -14,10 +12,12 @@ Swa::Swa(double low_threshold, double high_threshold)
   }
 }
 
-namespace detail {
+Schedule Swa::do_map(const Problem& problem, TieBreaker& ties) const {
+  return map_traced(problem, ties, nullptr);
+}
 
-Schedule swa_reference(const Problem& problem, TieBreaker& ties, double low,
-                       double high, std::vector<SwaStep>* trace) {
+Schedule Swa::map_traced(const Problem& problem, TieBreaker& ties,
+                         std::vector<SwaStep>* trace) const {
   Schedule schedule(problem);
   std::vector<double> ready = problem.initial_ready_times();
   std::vector<double> scores(problem.num_machines());
@@ -32,9 +32,9 @@ Schedule swa_reference(const Problem& problem, TieBreaker& ties, double low,
       // All-zero ready times only occur before any mapping; ETCs are
       // positive, so hi > 0 here. Guard anyway (zero-ETC degenerate input).
       bi = hi > 0.0 ? lo / hi : 0.0;
-      if (*bi > high) {
+      if (*bi > high_) {
         mode = SwaMode::kMet;
-      } else if (*bi < low) {
+      } else if (*bi < low_) {
         mode = SwaMode::kMct;
       }
     }
@@ -55,20 +55,6 @@ Schedule swa_reference(const Problem& problem, TieBreaker& ties, double low,
     first = false;
   }
   return schedule;
-}
-
-}  // namespace detail
-
-Schedule Swa::do_map(const Problem& problem, TieBreaker& ties) const {
-  return map_traced(problem, ties, nullptr);
-}
-
-Schedule Swa::map_traced(const Problem& problem, TieBreaker& ties,
-                         std::vector<SwaStep>* trace) const {
-  if (fastpath::enabled()) {
-    return fastpath::swa_fast(problem, ties, low_, high_, trace);
-  }
-  return detail::swa_reference(problem, ties, low_, high_, trace);
 }
 
 const char* to_string(SwaMode mode) noexcept {

@@ -51,14 +51,6 @@ class Swa final : public Heuristic {
   double high_;
 };
 
-namespace detail {
-/// The reference loop: min/max ready-time scan plus a full score vector per
-/// task. The oracle for fastpath::swa_fast; dispatched to only under the
-/// test seam fastpath::ScopedMode(false).
-Schedule swa_reference(const Problem& problem, TieBreaker& ties, double low,
-                       double high, std::vector<SwaStep>* trace);
-}  // namespace detail
-
 const char* to_string(SwaMode mode) noexcept;
 
 }  // namespace hcsched::heuristics

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 namespace hcsched::sim {
 
@@ -70,6 +71,13 @@ OnlineResult OnlineDispatcher::run(const etc::EtcMatrix& matrix,
     if (t.arrival < prev_arrival) {
       throw std::invalid_argument(
           "OnlineDispatcher: stream must be arrival-ordered");
+    }
+    // Infinite arrivals make every score infinite, and NaN ones compare
+    // false against everything: either way no machine wins a decision.
+    if (!std::isfinite(t.arrival)) {
+      throw std::invalid_argument(
+          "OnlineDispatcher: arrival time of task " + std::to_string(t.task) +
+          " is not finite (" + std::to_string(t.arrival) + ")");
     }
     prev_arrival = t.arrival;
     if (t.task < 0 ||
@@ -164,6 +172,11 @@ std::vector<OnlineTask> make_arrival_stream(std::size_t count,
                                             rng::Rng& rng) {
   if (num_matrix_tasks == 0) {
     throw std::invalid_argument("make_arrival_stream: empty ETC matrix");
+  }
+  if (!(mean_gap >= 0.0) || !std::isfinite(mean_gap)) {
+    throw std::invalid_argument(
+        "make_arrival_stream: mean gap must be finite and >= 0, got " +
+        std::to_string(mean_gap));
   }
   std::vector<OnlineTask> stream;
   stream.reserve(count);

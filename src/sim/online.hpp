@@ -65,7 +65,8 @@ class OnlineDispatcher {
 
   /// Dispatches `stream` (arrival-ordered) over machines whose initial
   /// availability is `initial_ready` (size = matrix machine count). A task
-  /// starts at max(arrival, machine ready).
+  /// starts at max(arrival, machine ready). Throws std::invalid_argument on
+  /// an out-of-order or non-finite arrival.
   OnlineResult run(const etc::EtcMatrix& matrix,
                    const std::vector<OnlineTask>& stream,
                    std::vector<double> initial_ready,
@@ -78,7 +79,9 @@ class OnlineDispatcher {
 };
 
 /// Poisson-ish arrival stream: `count` tasks with exponential(1/mean_gap)
-/// inter-arrival times, task ids cycling over the matrix rows.
+/// inter-arrival times, task ids cycling over the matrix rows. Throws
+/// std::invalid_argument unless `mean_gap` is finite and >= 0. A huge
+/// finite gap can still sum to infinite arrivals, which run() rejects.
 std::vector<OnlineTask> make_arrival_stream(std::size_t count,
                                             double mean_gap,
                                             std::size_t num_matrix_tasks,

@@ -15,8 +15,7 @@
 // docs/FASTPATH.md documents the invariant being tested.
 //
 // covers: fastpath.cpp two_phase_fast.cpp minscan.cpp arena.hpp
-// workspace.cpp reuse.cpp sufferage_fast.cpp kpb_fast.cpp swa_fast.cpp
-// kernel_table.cpp
+// workspace.cpp reuse.cpp sufferage_fast.cpp kpb_fast.cpp kernel_table.cpp
 // (stems named for the fastpath-differential lint rule)
 #include <gtest/gtest.h>
 
@@ -40,7 +39,6 @@
 #include "heuristics/minmin.hpp"
 #include "heuristics/registry.hpp"
 #include "heuristics/sufferage.hpp"
-#include "heuristics/swa.hpp"
 #include "obs/counters.hpp"
 #include "rng/rng.hpp"
 #include "rng/tie_break.hpp"
@@ -221,7 +219,7 @@ TEST(FastpathDifferential, DispatchTableIsCompleteAndRegistryBacked) {
   // canonical registry spelling (the iterative differential constructs
   // heuristics by table name).
   const auto table = fastpath::kernel_table();
-  ASSERT_EQ(table.size(), 5u);
+  ASSERT_EQ(table.size(), 4u);
   std::set<std::string> names;
   for (const KernelInfo& info : table) {
     const KernelInfo* found = fastpath::find_kernel(info.kernel);
@@ -429,41 +427,6 @@ TEST(FastpathDifferential, KpbNonDefaultPercentMatchesReferenceWithTrace) {
   }
 }
 
-TEST(FastpathDifferential, SwaNonDefaultThresholdsMatchReferenceWithTrace) {
-  // Tight thresholds force frequent MCT<->MET switching; the kernel's
-  // incrementally-maintained balance index must reproduce the reference's
-  // recomputed one exactly (same doubles), or the mode column diverges.
-  namespace h = hcsched::heuristics;
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    const EtcMatrix m = cvb_matrix(seed, 30, 6);
-    const Problem problem = Problem::full(m);
-    Rng ref_rng(seed * 19);
-    Rng fast_rng(seed * 19);
-    TieBreaker ref_ties(ref_rng);
-    TieBreaker fast_ties(fast_rng);
-    std::vector<h::SwaStep> ref_trace;
-    std::vector<h::SwaStep> fast_trace;
-    const Schedule ref =
-        h::detail::swa_reference(problem, ref_ties, 0.6, 0.75, &ref_trace);
-    const Schedule fast =
-        fastpath::swa_fast(problem, fast_ties, 0.6, 0.75, &fast_trace);
-    expect_same_schedule(ref, fast,
-                         "swa tight thresholds seed " +
-                             std::to_string(seed));
-    EXPECT_EQ(ref_ties.decisions(), fast_ties.decisions());
-    EXPECT_EQ(ref_ties.tie_events(), fast_ties.tie_events());
-    ASSERT_EQ(ref_trace.size(), fast_trace.size());
-    for (std::size_t i = 0; i < ref_trace.size(); ++i) {
-      EXPECT_EQ(ref_trace[i].task, fast_trace[i].task) << i;
-      EXPECT_EQ(ref_trace[i].machine, fast_trace[i].machine) << i;
-      EXPECT_EQ(ref_trace[i].completion, fast_trace[i].completion) << i;
-      EXPECT_EQ(ref_trace[i].balance_index, fast_trace[i].balance_index)
-          << i;
-      EXPECT_EQ(ref_trace[i].mode, fast_trace[i].mode) << i;
-    }
-  }
-}
-
 TEST(FastpathDifferential, IterativeTechniqueIdenticalUnderBothPaths) {
   // End-to-end through core::IterativeMinimizer by registry name: every
   // dispatch-table heuristic plus Duplex (which runs both two-phase kernels
@@ -511,8 +474,8 @@ TEST(FastpathDifferential, IterativeTechniqueIdenticalUnderBothPaths) {
 TEST(FastpathDifferential, PaperExamplesGoldenPinsUnderFastpath) {
   // The paper's worked examples (Tables 1-17) are the repo's ground truth;
   // they must keep matching with the kernels forced on. Min-Min, Max-Min,
-  // Sufferage, KPB and SWA all dispatch through kernels now, so this pins
-  // the whole dispatch surface against hand-checked tables.
+  // Sufferage and KPB all dispatch through kernels, so this pins the whole
+  // dispatch surface against hand-checked tables.
   const ScopedMode scope(true);
   for (const auto& example : hcsched::core::all_paper_examples()) {
     const auto result = hcsched::core::run_paper_example(example);

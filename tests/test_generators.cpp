@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <tuple>
 
 #include "etc/cvb_generator.hpp"
@@ -39,6 +40,11 @@ TEST(RangeGenerator, ValuesWithinTheoreticalBounds) {
 TEST(RangeGenerator, RejectsDegenerateRanges) {
   Rng rng(3);
   RangeParams p{.num_tasks = 2, .num_machines = 2, .task_range = 0.5};
+  EXPECT_THROW(RangeEtcGenerator(p).generate(rng), std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  p = RangeParams{.num_tasks = 2, .num_machines = 2, .task_range = nan};
+  EXPECT_THROW(RangeEtcGenerator(p).generate(rng), std::invalid_argument);
+  p = RangeParams{.num_tasks = 2, .num_machines = 2, .machine_range = nan};
   EXPECT_THROW(RangeEtcGenerator(p).generate(rng), std::invalid_argument);
 }
 
@@ -89,6 +95,38 @@ TEST(CvbGenerator, RejectsNonPositiveParams) {
                                          .mean_task_time = 0.0})
                    .generate(rng),
                std::invalid_argument);
+}
+
+TEST(CvbGenerator, RejectsNonFiniteParamsAndUnderflowingShapes) {
+  // Each of these once produced an all-NaN matrix: NaN and inf fail the
+  // parameter check, and a huge or tiny finite CoV takes 1 / v^2 to 0 or
+  // to infinity.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {kNan, kInf, -kInf, 1e300, 1e-200}) {
+    Rng rng(1);
+    EXPECT_THROW(CvbEtcGenerator(CvbParams{.num_tasks = 3,
+                                           .num_machines = 2,
+                                           .v_task = bad})
+                     .generate(rng),
+                 std::invalid_argument)
+        << "v_task " << bad;
+    EXPECT_THROW(CvbEtcGenerator(CvbParams{.num_tasks = 3,
+                                           .num_machines = 2,
+                                           .v_machine = bad})
+                     .generate(rng),
+                 std::invalid_argument)
+        << "v_machine " << bad;
+  }
+  for (const double bad : {kNan, kInf}) {
+    Rng rng(1);
+    EXPECT_THROW(CvbEtcGenerator(CvbParams{.num_tasks = 3,
+                                           .num_machines = 2,
+                                           .mean_task_time = bad})
+                     .generate(rng),
+                 std::invalid_argument)
+        << "mean_task_time " << bad;
+  }
 }
 
 class CvbStatisticalTest

@@ -271,40 +271,49 @@ TEST(KpbInvariants, ChosenMachineInsideKPercentSubsetUnderBothPaths) {
   }
 }
 
-TEST(SwaInvariants, BalanceIndexAndModeFollowHysteresisUnderBothPaths) {
-  // The balance index min(ready)/max(ready) lives in [0, 1]; the first task
-  // is mapped by MCT with no index; afterwards the mode follows the paper's
-  // hysteresis — above high switches to MET, below low back to MCT,
-  // in between the previous mode sticks.
-  using hcsched::heuristics::fastpath::ScopedMode;
+/// Maps `m` with `swa` and checks the trace against Figure 13's rule: the
+/// balance index min(ready)/max(ready) lives in [0, 1]; the first task is
+/// mapped by MCT with no index; afterwards the mode follows the paper's
+/// hysteresis — above high switches to MET, below low back to MCT, in
+/// between the previous mode sticks.
+void expect_swa_hysteresis(const hcsched::heuristics::Swa& swa,
+                           const EtcMatrix& m, TieBreaker& ties,
+                           const std::string& label) {
   using hcsched::heuristics::SwaMode;
-  const hcsched::heuristics::Swa swa;  // defaults: low 0.35, high 0.49
-  for (const bool use_kernels : {false, true}) {
-    const ScopedMode scope(use_kernels);
-    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-      const EtcMatrix m = random_matrix(seed + 600, 28, 5);
-      TieBreaker ties;
-      std::vector<hcsched::heuristics::SwaStep> trace;
-      const Schedule s = swa.map_traced(Problem::full(m), ties, &trace);
-      EXPECT_TRUE(s.complete());
-      ASSERT_EQ(trace.size(), m.num_tasks());
-      EXPECT_FALSE(trace.front().balance_index.has_value());
-      EXPECT_EQ(trace.front().mode, SwaMode::kMct);
-      SwaMode expected = SwaMode::kMct;
-      for (std::size_t i = 1; i < trace.size(); ++i) {
-        ASSERT_TRUE(trace[i].balance_index.has_value()) << "step " << i;
-        const double bi = *trace[i].balance_index;
-        EXPECT_GE(bi, 0.0) << "step " << i;
-        EXPECT_LE(bi, 1.0) << "step " << i;
-        if (bi > swa.high_threshold()) {
-          expected = SwaMode::kMet;
-        } else if (bi < swa.low_threshold()) {
-          expected = SwaMode::kMct;
-        }
-        EXPECT_EQ(trace[i].mode, expected) << "seed " << seed << " step "
-                                           << i;
-      }
+  std::vector<hcsched::heuristics::SwaStep> trace;
+  const Schedule s = swa.map_traced(Problem::full(m), ties, &trace);
+  EXPECT_TRUE(s.complete()) << label;
+  ASSERT_EQ(trace.size(), m.num_tasks()) << label;
+  EXPECT_FALSE(trace.front().balance_index.has_value()) << label;
+  EXPECT_EQ(trace.front().mode, SwaMode::kMct) << label;
+  SwaMode expected = SwaMode::kMct;
+  for (std::size_t i = 1; i < trace.size(); ++i) {
+    ASSERT_TRUE(trace[i].balance_index.has_value()) << label << " step " << i;
+    const double bi = *trace[i].balance_index;
+    EXPECT_GE(bi, 0.0) << label << " step " << i;
+    EXPECT_LE(bi, 1.0) << label << " step " << i;
+    if (bi > swa.high_threshold()) {
+      expected = SwaMode::kMet;
+    } else if (bi < swa.low_threshold()) {
+      expected = SwaMode::kMct;
     }
+    EXPECT_EQ(trace[i].mode, expected) << label << " step " << i;
+  }
+}
+
+TEST(SwaInvariants, BalanceIndexAndModeFollowHysteresis) {
+  // The default thresholds with deterministic ties, then tight thresholds
+  // (0.6 / 0.75) with random ties, which switch MCT <-> MET often.
+  const hcsched::heuristics::Swa defaults;  // low 0.35, high 0.49
+  const hcsched::heuristics::Swa tight(0.6, 0.75);
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    TieBreaker det_ties;
+    expect_swa_hysteresis(defaults, random_matrix(seed + 600, 28, 5),
+                          det_ties, "defaults seed " + std::to_string(seed));
+    Rng rng(seed * 19);
+    TieBreaker random_ties(rng);
+    expect_swa_hysteresis(tight, random_matrix(seed, 30, 6), random_ties,
+                          "tight seed " + std::to_string(seed));
   }
 }
 

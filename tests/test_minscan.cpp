@@ -1,6 +1,6 @@
 // Direct tests of the fastpath row reductions (minscan.hpp) against naive
-// references: a sequential std::min / std::max fold for the plain scans and
-// a two-pass scan for the Sufferage best-two. Every length from 1 to 70 is
+// references: a sequential std::min fold for the fused completion-time scan
+// and a two-pass scan for the Sufferage best-two. Every length from 1 to 70 is
 // covered, so each of the four accumulator lanes and every tail length
 // n mod 4 holds the extreme value at some point.
 //
@@ -37,28 +37,12 @@ double seq_min_completion(const std::vector<double>& ready,
   return best;
 }
 
-double seq_min(const std::vector<double>& v) {
-  double best = v[0];
-  for (std::size_t i = 1; i < v.size(); ++i) best = std::min(best, v[i]);
-  return best;
-}
-
-double seq_max(const std::vector<double>& v) {
-  double best = v[0];
-  for (std::size_t i = 1; i < v.size(); ++i) best = std::max(best, v[i]);
-  return best;
-}
-
 void expect_plain_scans_match(const std::vector<double>& ready,
                               const std::vector<double>& etc) {
   const std::size_t n = ready.size();
   EXPECT_EQ(minscan::min_completion(ready.data(), etc.data(), n),
             seq_min_completion(ready, etc))
       << "n=" << n;
-  EXPECT_EQ(minscan::min_value(ready.data(), n), seq_min(ready)) << "n=" << n;
-  EXPECT_EQ(minscan::max_value(ready.data(), n), seq_max(ready)) << "n=" << n;
-  EXPECT_EQ(minscan::min_value(etc.data(), n), seq_min(etc)) << "n=" << n;
-  EXPECT_EQ(minscan::max_value(etc.data(), n), seq_max(etc)) << "n=" << n;
 }
 
 TEST(Minscan, PlainScansMatchSequentialFoldOnRandomRows) {
@@ -85,16 +69,10 @@ TEST(Minscan, PlainScansFindTheExtremeInEveryLaneAndTheTail) {
     for (std::size_t at = 0; at < n; ++at) {
       std::vector<double> ready = random_row(rng, n);
       std::vector<double> etc = random_row(rng, n);
-      std::vector<double> v = random_row(rng, n);
       etc[at] = 0.25;  // ready + etc >= 1 elsewhere
       ready[at] = 0.5;
-      v[at] = 1000.0;  // a maximum at the same slot
       const double low = minscan::min_completion(ready.data(), etc.data(), n);
       EXPECT_EQ(low, 0.75) << "n=" << n << " at=" << at;
-      EXPECT_EQ(minscan::min_value(ready.data(), n), 0.5)
-          << "n=" << n << " at=" << at;
-      EXPECT_EQ(minscan::max_value(v.data(), n), 1000.0)
-          << "n=" << n << " at=" << at;
       expect_plain_scans_match(ready, etc);
     }
   }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "etc/cvb_generator.hpp"
 #include "heuristics/mct.hpp"
 
@@ -114,6 +116,16 @@ TEST(Online, RejectsBadInput) {
   EXPECT_THROW(
       (void)dispatcher.run(m, {{0, 5.0}, {1, 1.0}}, {0.0, 0.0}, ties),
       std::invalid_argument);  // unordered arrivals
+  // An infinite arrival once made every score inf, so choose_min found no
+  // tied slot and the task was mapped onto machine -1; a NaN one passed the
+  // ordering check (every comparison with NaN is false).
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(
+        (void)dispatcher.run(m, {{0, 1.0}, {1, bad}}, {0.0, 0.0}, ties),
+        std::invalid_argument)
+        << bad;
+  }
   EXPECT_THROW(OnlineDispatcher(OnlineConfig{.kpb_percent = 0.0}),
                std::invalid_argument);
   EXPECT_THROW(
@@ -152,6 +164,18 @@ TEST(Online, StreamRequiresNonEmptyMatrix) {
   Rng rng(6);
   EXPECT_THROW((void)make_arrival_stream(5, 1.0, 0, rng),
                std::invalid_argument);
+}
+
+TEST(Online, StreamRejectsNonFiniteOrNegativeMeanGap) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), -1.0}) {
+    Rng rng(6);
+    EXPECT_THROW((void)make_arrival_stream(5, bad, 3, rng),
+                 std::invalid_argument)
+        << bad;
+  }
+  Rng rng(6);
+  EXPECT_EQ(make_arrival_stream(5, 0.0, 3, rng).back().arrival, 0.0);
 }
 
 TEST(Online, ZeroArrivalsMakeImmediateMctEqualBatchStaticMct) {

@@ -161,8 +161,19 @@ class Args {
     if (it == values_.end()) return std::nullopt;
     return it->second;
   }
-  std::string get_or(const std::string& key, std::string fallback) const {
-    return get(key).value_or(std::move(fallback));
+  /// An enumerated flag: one of `choices`, the first when absent. Any other
+  /// value is an error naming the flag and the choices.
+  std::string get_choice(const std::string& key,
+                         std::initializer_list<const char*> choices) const {
+    const auto v = get(key);
+    if (!v) return *choices.begin();
+    std::string want;
+    for (const char* choice : choices) {
+      if (*v == choice) return *v;
+      want += (want.empty() ? "" : "|") + std::string(choice);
+    }
+    throw std::invalid_argument("unknown --" + key + " '" + *v + "' (want " +
+                                want + ")");
   }
   long long get_ll(const std::string& key, long long fallback) const {
     return get_integer(key, fallback);
@@ -233,10 +244,17 @@ etc::EtcMatrix load_etc(const Args& args) {
   return etc::read_csv(in);
 }
 
+/// The tie policy requested by --ties det|random.
+rng::TiePolicy tie_policy(const Args& args) {
+  return args.get_choice("ties", {"det", "random"}) == "random"
+             ? rng::TiePolicy::kRandom
+             : rng::TiePolicy::kDeterministic;
+}
+
 /// Builds the tie breaker requested by --ties/--seed. The Rng must outlive
 /// the breaker, so the caller owns it.
 rng::TieBreaker make_ties(const Args& args, rng::Rng& rng) {
-  if (args.get_or("ties", "det") == "random") return rng::TieBreaker(rng);
+  if (tie_policy(args) == rng::TiePolicy::kRandom) return rng::TieBreaker(rng);
   return rng::TieBreaker();
 }
 
@@ -271,7 +289,7 @@ int cmd_generate(const Args& args) {
   rng::Rng rng(static_cast<std::uint64_t>(args.get_ll("seed", 1)));
 
   etc::EtcMatrix matrix;
-  if (args.get_or("method", "cvb") == "range") {
+  if (args.get_choice("method", {"cvb", "range"}) == "range") {
     etc::RangeParams params;
     params.num_tasks = tasks;
     params.num_machines = machines;
@@ -284,7 +302,8 @@ int cmd_generate(const Args& args) {
     params.v_machine = args.get_d("v-machine", 0.6);
     matrix = etc::CvbEtcGenerator(params).generate(rng);
   }
-  const std::string consistency = args.get_or("consistency", "inc");
+  const std::string consistency =
+      args.get_choice("consistency", {"inc", "semi", "cons"});
   if (consistency == "cons") {
     matrix = etc::shape_consistency(matrix, etc::Consistency::kConsistent);
   } else if (consistency == "semi") {
@@ -432,9 +451,7 @@ sim::StudyParams study_params_from(const Args& args) {
   std::tie(params.cvb.num_tasks, params.cvb.num_machines) =
       etc_shape(args, 24, 6);
   params.seed = static_cast<std::uint64_t>(args.get_ll("seed", 7));
-  params.tie_policy = args.get_or("ties", "det") == "random"
-                          ? rng::TiePolicy::kRandom
-                          : rng::TiePolicy::kDeterministic;
+  params.tie_policy = tie_policy(args);
   if (args.get("gap").has_value()) {
     params.gap = true;
     // Gap runs are baseline comparisons: include the local-search family
@@ -534,11 +551,7 @@ int cmd_sweep(const Args& args) {
 }
 
 int cmd_stats(const Args& args) {
-  const std::string format = args.get_or("format", "json");
-  if (format != "json" && format != "prom") {
-    throw std::invalid_argument("unknown --format '" + format +
-                                "' (want json|prom)");
-  }
+  const std::string format = args.get_choice("format", {"json", "prom"});
   if (!obs::kTraceCompiledIn) {
     std::fprintf(stderr,
                  "warning: built with HCSCHED_TRACE=0; stats will report "
@@ -577,9 +590,7 @@ int cmd_witness(const Args& args) {
   core::WitnessSpec spec;
   std::tie(spec.num_tasks, spec.num_machines) = etc_shape(args, 6, 3);
   spec.half_integers = true;
-  spec.policy = args.get_or("ties", "det") == "random"
-                    ? rng::TiePolicy::kRandom
-                    : rng::TiePolicy::kDeterministic;
+  spec.policy = tie_policy(args);
   const std::size_t max_trials = args.get_count("max-trials", 200000);
   rng::Rng rng(static_cast<std::uint64_t>(args.get_ll("seed", 42)));
   const auto witness =
@@ -613,7 +624,8 @@ int cmd_optimal(const Args& args) {
 
 int cmd_online(const Args& args) {
   const etc::EtcMatrix matrix = load_etc(args);
-  const std::string policy_name = args.get_or("policy", "mct");
+  const std::string policy_name =
+      args.get_choice("policy", {"mct", "met", "olb", "kpb", "swa"});
   sim::OnlineConfig config;
   if (policy_name == "met") {
     config.policy = sim::OnlinePolicy::kMet;
@@ -623,15 +635,13 @@ int cmd_online(const Args& args) {
     config.policy = sim::OnlinePolicy::kKpb;
   } else if (policy_name == "swa") {
     config.policy = sim::OnlinePolicy::kSwa;
-  } else if (policy_name != "mct") {
-    throw std::invalid_argument("unknown --policy '" + policy_name + "'");
   }
   rng::Rng rng(static_cast<std::uint64_t>(args.get_ll("seed", 1)));
   const auto stream = sim::make_arrival_stream(
       args.get_count("count", 32),
       args.get_d("mean-gap", 10.0), matrix.num_tasks(), rng);
   const sim::OnlineDispatcher dispatcher(config);
-  rng::TieBreaker ties = make_ties(args, rng);
+  rng::TieBreaker ties;
   const auto result = dispatcher.run(
       matrix, stream, std::vector<double>(matrix.num_machines(), 0.0), ties);
   std::printf(
