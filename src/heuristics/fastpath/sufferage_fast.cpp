@@ -14,12 +14,14 @@
 // min-over-others set still contains min1_slot (with m == 1 the scan
 // returns min2 == min1, so the sufferage is 0 as in the reference).
 //
-// Nothing survives a pass to be reused: a task queued for the next pass
+// No scan survives a pass to be reused: a task queued for the next pass
 // chose a slot from its tied set, and that slot ends the pass claimed —
 // by the task that evicted it or by the claimant that rejected it — so its
 // ready time moved and the task must be rescanned anyway. The kernel's win
-// over the reference is the scan itself, one pass over a contiguous row
-// against the reference's four indirection-heavy passes.
+// over the reference is the scan itself, one packed pass over a contiguous
+// row against the reference's four indirection-heavy passes.
+// Under kOriginalOrder the next queue is this pass's ascending queue minus
+// its committed claimants: a stable filter, no sort.
 #include <algorithm>
 #include <limits>
 #include <span>
@@ -58,7 +60,7 @@ Schedule sufferage_fast(const Problem& problem, TieBreaker& ties,
   // thread's bump pools.
   ws.doubles.reset(3 * m);
   ws.positions.reset(m);
-  ws.indices.reset(2 * n + m);
+  ws.indices.reset(3 * n + m);
   const std::span<double> ready = ws.doubles.take(m);
   const std::span<double> claim_suff = ws.doubles.take(m);
   const std::span<double> claim_ct = ws.doubles.take(m);
@@ -66,12 +68,14 @@ Schedule sufferage_fast(const Problem& problem, TieBreaker& ties,
   const std::span<std::uint32_t> pending_a = ws.indices.take(n);
   const std::span<std::uint32_t> pending_b = ws.indices.take(n);
   const std::span<std::uint32_t> claim_pos = ws.indices.take(m);
+  const std::span<std::uint32_t> committed = ws.indices.take(n);
 
   std::copy(problem.initial_ready_times().begin(),
             problem.initial_ready_times().end(), ready.begin());
   for (std::size_t p = 0; p < n; ++p) {
     pending_a[p] = static_cast<std::uint32_t>(p);
   }
+  std::fill(committed.begin(), committed.end(), 0u);
 
   const std::vector<TaskId>& tasks = problem.tasks();
   const std::vector<MachineId>& machines = problem.machines();
@@ -95,8 +99,7 @@ Schedule sufferage_fast(const Problem& problem, TieBreaker& ties,
 #if HCSCHED_TRACE
       ++rescores;
 #endif
-      // The scan's tie predicate is bit-identical to ties.tied(min1, score)
-      // — see minscan.hpp.
+      // The scan's tie predicate is ties.tied(min1, score).
       const minscan::SufferageScan scan = minscan::sufferage_scan(
           ready.data(), row.data(), m, ties.epsilon(), tied.data());
       // One decision per pending task per pass, exactly as the reference's
@@ -131,16 +134,21 @@ Schedule sufferage_fast(const Problem& problem, TieBreaker& ties,
       const std::uint32_t p = claim_pos[slot];
       if (p == kNoClaim) continue;
       ready[slot] = schedule.assign(tasks[p], machines[slot]);
+      committed[p] = 1;
       if (trace != nullptr) {
         trace->push_back(SufferageStep{pass, tasks[p], machines[slot],
                                        claim_ct[slot], claim_suff[slot]});
       }
     }
 
-    // Positions are original list positions, so kOriginalOrder is a plain
-    // ascending sort — the same order the reference's position table yields.
+    // Positions are original list positions, ascending under
+    // kOriginalOrder: the reference's position-table order.
     if (requeue == SufferageRequeue::kOriginalOrder) {
-      std::sort(nxt, nxt + next_count);
+      next_count = 0;
+      for (std::size_t i = 0; i < pending_count; ++i) {
+        nxt[next_count] = cur[i];
+        next_count += committed[cur[i]] == 0 ? 1u : 0u;
+      }
     }
 
     std::swap(cur, nxt);

@@ -33,7 +33,7 @@
 //
 // Per-task state lives in structure-of-arrays slices from the thread
 // workspace's bump pools (workspace.hpp): zero steady-state allocations
-// across a study cell's trials, and the rescore is a fused min-scan
+// across a study cell's trials, and the rescore is the packed row scan
 // (minscan.hpp) over a contiguous EtcView row.
 #include <algorithm>
 #include <array>
@@ -152,12 +152,10 @@ Schedule two_phase_greedy_fast(const Problem& problem, TieBreaker& ties,
   // list, leaf updated); a genuine tie waits for the phase-one redraw.
   const auto rescore = [&](std::size_t p) {
     const double* const etc_row = view.row(p).data();
-    const double best = minscan::min_completion(ready.data(), etc_row, m);
     std::size_t* const tied = tied_pool.data() + p * m;
-    std::size_t tcount = 0;
-    for (std::size_t slot = 0; slot < m; ++slot) {
-      if (ties.tied(best, ready[slot] + etc_row[slot])) tied[tcount++] = slot;
-    }
+    const std::size_t tcount =
+        minscan::sufferage_scan(ready.data(), etc_row, m, ties.epsilon(), tied)
+            .tied_count;
     tied_count[p] = static_cast<std::uint32_t>(tcount);
     if (tcount != 1) {
       mark_genuine(p, true);

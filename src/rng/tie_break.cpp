@@ -1,52 +1,50 @@
 #include "rng/tie_break.hpp"
 
 #include <algorithm>
+#include <cmath>
 
+#include "core/check.hpp"
 #include "obs/counters.hpp"
 #include "rng/fold4.hpp"
 
 namespace hcsched::rng {
 
-// The extreme comes from the four-lane fold the fastpath kernels use. min
-// and max are associative and commutative over the finite, non-negative
-// scores every Problem guarantees (no NaN can reach a score), so the fold
-// returns the value a sequential std::min / std::max chain returns; only the
-// sign of a zero result can differ, and |best - s| cannot see it. The tied
-// set, and so the chosen index, cannot move.
-std::size_t TieBreaker::choose_min(std::span<const double> scores) {
+// The best two scores are the values a sequential chain returns, up to the
+// sign of a zero, which the tie predicate cannot see. When the second does
+// not tie the best no other score can (the rounded distance only grows):
+// a singleton draw. Otherwise one packed pass counts the tied set and finds
+// its first member, for the draw(count) a collected list would take.
+template <bool kLargest>
+std::size_t TieBreaker::choose_extreme(std::span<const double> scores) {
   if (scores.empty()) return npos;
-  return choose_tied(
-      scores, fold4(scores.size(), [&](std::size_t i) { return scores[i]; },
-                    kFoldMin));
+  HCSCHED_PRECONDITION(std::none_of(scores.begin(), scores.end(),
+                                    [](double s) { return std::isnan(s); }),
+                       "TieBreaker: NaN score");
+  ++decisions_;
+  const Scores x{scores.data()};
+  const std::size_t n = scores.size();
+  const Two<double> two = best_two<kLargest>(x, n);
+  if (!tied(two.best, two.second)) {
+    draw(1);
+    return find_first(x, n, two.best);
+  }
+  std::size_t count = 0;
+  std::size_t first = n;
+  for_each_tied(x, n, two.best, epsilon_, [&](std::size_t i) {
+    if (count++ == 0) first = i;
+  });
+  std::size_t k = draw(count);
+  for (std::size_t i = first;; ++i) {
+    if (tied(two.best, scores[i]) && k-- == 0) return i;
+  }
+}
+
+std::size_t TieBreaker::choose_min(std::span<const double> scores) {
+  return choose_extreme<false>(scores);
 }
 
 std::size_t TieBreaker::choose_max(std::span<const double> scores) {
-  if (scores.empty()) return npos;
-  return choose_tied(
-      scores, fold4(scores.size(), [&](std::size_t i) { return scores[i]; },
-                    kFoldMax));
-}
-
-std::size_t TieBreaker::choose_tied(std::span<const double> scores,
-                                    double best) {
-  // One pass counts the tied set and remembers its first member (walking
-  // backwards, the last tied index seen is the lowest); the draw is the
-  // same draw(count) a collected list of tied indices would take. The find
-  // starts at that first member, so it returns at once unless a genuine tie
-  // drew a later one. No allocation.
-  ++decisions_;
-  std::size_t count = 0;
-  std::size_t first = 0;
-  for (std::size_t i = scores.size(); i-- > 0;) {
-    const bool hit = tied(best, scores[i]);
-    count += hit ? 1u : 0u;
-    first = hit ? i : first;
-  }
-  std::size_t k = draw(count);
-  if (k == npos) return npos;
-  for (std::size_t i = first;; ++i) {
-    if (tied(best, scores[i]) && k-- == 0) return i;
-  }
+  return choose_extreme<true>(scores);
 }
 
 std::size_t TieBreaker::choose_among(std::span<const std::size_t> tied_set) {

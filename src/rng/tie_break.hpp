@@ -24,6 +24,14 @@
 
 namespace hcsched::rng {
 
+/// The tie predicate a == b || |a - b| <= eps, so an all-+inf row ties
+/// every entry (inf - inf is NaN). Over non-NaN scores it is the single
+/// compare !(|a - b| > eps), the form here and in the packed passes of
+/// fold4.hpp.
+inline bool is_tie(double a, double b, double eps) noexcept {
+  return !(std::fabs(a - b) > eps);
+}
+
 enum class TiePolicy : std::uint8_t { kDeterministic, kRandom, kScripted };
 
 class TieBreaker {
@@ -47,14 +55,13 @@ class TieBreaker {
   TiePolicy policy() const noexcept { return policy_; }
   double epsilon() const noexcept { return epsilon_; }
 
-  /// Whether two scores are considered equal. std::fabs keeps the tie pass
-  /// in choose_tied free of branches.
+  /// Whether two scores are considered equal.
   bool tied(double a, double b) const noexcept {
-    return std::fabs(a - b) <= epsilon_;
+    return is_tie(a, b, epsilon_);
   }
 
-  /// Index of the chosen minimal element of `scores` (empty input is a
-  /// precondition violation and returns npos).
+  /// Index of the chosen minimal element of `scores` (empty input returns
+  /// npos; a NaN score is a precondition violation).
   std::size_t choose_min(std::span<const double> scores);
 
   /// Index of the chosen maximal element of `scores`.
@@ -82,8 +89,9 @@ class TieBreaker {
   /// and does the decision's bookkeeping; count == 0 returns npos.
   std::size_t draw(std::size_t count);
 
-  /// choose_min/choose_max body: `best` is the extreme of `scores`.
-  std::size_t choose_tied(std::span<const double> scores, double best);
+  /// choose_min (kLargest false) / choose_max (true) body.
+  template <bool kLargest>
+  std::size_t choose_extreme(std::span<const double> scores);
 
   TiePolicy policy_;
   Rng* rng_ = nullptr;

@@ -351,13 +351,16 @@ TEST(FastpathDifferential, SufferageWorkCountsPinned) {
 }
 #endif
 
-TEST(FastpathDifferential, SufferageEncounterOrderRequeueMatchesReference) {
-  // The table adapter runs the default kOriginalOrder requeue; the EXT-7d
-  // ablation knob must match too, including the pass-by-pass commit trace.
-  // Seeds 7 and 8 add near ties: a task's chosen slot is often not the
-  // first exact minimum, which takes the sufferage's other branch.
+/// Runs the reference Sufferage and the kernel under `requeue` on seeds 1-8
+/// and compares schedules, decision and tie-event counts and the
+/// pass-by-pass commit trace. Seeds 7 and 8 add near ties: a task's chosen
+/// slot is often not the first exact minimum, which takes the sufferage's
+/// other branch.
+void expect_sufferage_requeue_matches(
+    hcsched::heuristics::SufferageRequeue requeue, const std::string& label) {
   namespace h = hcsched::heuristics;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const std::string where = label + " seed " + std::to_string(seed);
     const EtcMatrix cvb =
         cvb_matrix(seed, 30, 6, seed % 2 == 0 ? 3.0 : 100.0);
     const EtcMatrix m = seed > 6 ? tie_rich(cvb, 0.25e-9) : cvb;
@@ -368,25 +371,42 @@ TEST(FastpathDifferential, SufferageEncounterOrderRequeueMatchesReference) {
     TieBreaker fast_ties(fast_rng);
     std::vector<h::SufferageStep> ref_trace;
     std::vector<h::SufferageStep> fast_trace;
-    const Schedule ref = h::detail::sufferage_reference(
-        problem, ref_ties, h::SufferageRequeue::kEncounterOrder, &ref_trace);
-    const Schedule fast = fastpath::sufferage_fast(
-        problem, fast_ties, h::SufferageRequeue::kEncounterOrder,
-        &fast_trace);
-    expect_same_schedule(ref, fast,
-                         "sufferage encounter-order seed " +
-                             std::to_string(seed));
-    EXPECT_EQ(ref_ties.decisions(), fast_ties.decisions());
-    EXPECT_EQ(ref_ties.tie_events(), fast_ties.tie_events());
-    ASSERT_EQ(ref_trace.size(), fast_trace.size());
+    const Schedule ref =
+        h::detail::sufferage_reference(problem, ref_ties, requeue, &ref_trace);
+    const Schedule fast =
+        fastpath::sufferage_fast(problem, fast_ties, requeue, &fast_trace);
+    expect_same_schedule(ref, fast, where);
+    EXPECT_EQ(ref_ties.decisions(), fast_ties.decisions()) << where;
+    EXPECT_EQ(ref_ties.tie_events(), fast_ties.tie_events()) << where;
+    ASSERT_EQ(ref_trace.size(), fast_trace.size()) << where;
+    // Some task must wait for a later pass, or the requeue order is untested.
+    EXPECT_GT(ref_trace.back().pass, 1u) << where;
     for (std::size_t i = 0; i < ref_trace.size(); ++i) {
-      EXPECT_EQ(ref_trace[i].pass, fast_trace[i].pass) << i;
-      EXPECT_EQ(ref_trace[i].task, fast_trace[i].task) << i;
-      EXPECT_EQ(ref_trace[i].machine, fast_trace[i].machine) << i;
-      EXPECT_EQ(ref_trace[i].min_ct, fast_trace[i].min_ct) << i;
-      EXPECT_EQ(ref_trace[i].sufferage, fast_trace[i].sufferage) << i;
+      EXPECT_EQ(ref_trace[i].pass, fast_trace[i].pass) << where << " " << i;
+      EXPECT_EQ(ref_trace[i].task, fast_trace[i].task) << where << " " << i;
+      EXPECT_EQ(ref_trace[i].machine, fast_trace[i].machine)
+          << where << " " << i;
+      EXPECT_EQ(ref_trace[i].min_ct, fast_trace[i].min_ct)
+          << where << " " << i;
+      EXPECT_EQ(ref_trace[i].sufferage, fast_trace[i].sufferage)
+          << where << " " << i;
     }
   }
+}
+
+TEST(FastpathDifferential, SufferageEncounterOrderRequeueMatchesReference) {
+  // The EXT-7d ablation knob must match the reference too.
+  expect_sufferage_requeue_matches(
+      hcsched::heuristics::SufferageRequeue::kEncounterOrder,
+      "sufferage encounter-order");
+}
+
+TEST(FastpathDifferential, SufferageOriginalOrderRequeueMatchesReference) {
+  // The default requeue: the kernel filters this pass's ascending queue
+  // by the committed claimants instead of sorting the next one.
+  expect_sufferage_requeue_matches(
+      hcsched::heuristics::SufferageRequeue::kOriginalOrder,
+      "sufferage original-order");
 }
 
 TEST(FastpathDifferential, KpbNonDefaultPercentMatchesReferenceWithTrace) {

@@ -1,8 +1,9 @@
-// Direct tests of the fastpath row reductions (minscan.hpp) against naive
-// references: a sequential std::min fold for the fused completion-time scan
-// and a two-pass scan for the Sufferage best-two. Every length from 1 to 70 is
-// covered, so each of the four accumulator lanes and every tail length
-// n mod 4 holds the extreme value at some point.
+// Direct tests of the fastpath row scan (minscan.hpp) against naive
+// references: a sequential std::min fold for its minimum and a two-pass
+// scan for the Sufferage best-two and tied list. Every length from 1 to 70
+// is covered, and the extreme (and a tied or near-tied partner) sits at
+// every index: in every packed lane, in each of the four accumulators, in
+// the single-vector loop and in the scalar tail, at any lane width up to 8.
 //
 // covers: minscan.cpp
 #include <gtest/gtest.h>
@@ -37,12 +38,19 @@ double seq_min_completion(const std::vector<double>& ready,
   return best;
 }
 
+/// The scan's minimum (what the two-phase kernel's rescore reads).
+double scan_min(const std::vector<double>& ready,
+                const std::vector<double>& etc) {
+  std::vector<std::size_t> tied(ready.size());
+  return minscan::sufferage_scan(ready.data(), etc.data(), ready.size(), 0.0,
+                                 tied.data())
+      .min1;
+}
+
 void expect_plain_scans_match(const std::vector<double>& ready,
                               const std::vector<double>& etc) {
-  const std::size_t n = ready.size();
-  EXPECT_EQ(minscan::min_completion(ready.data(), etc.data(), n),
-            seq_min_completion(ready, etc))
-      << "n=" << n;
+  EXPECT_EQ(scan_min(ready, etc), seq_min_completion(ready, etc))
+      << "n=" << ready.size();
 }
 
 TEST(Minscan, PlainScansMatchSequentialFoldOnRandomRows) {
@@ -61,8 +69,8 @@ TEST(Minscan, PlainScansMatchSequentialFoldOnAllEqualRows) {
   }
 }
 
-// The extreme value sits at every position in turn: each of the four lanes
-// and every slot of the scalar tail.
+// The extreme value sits at every position in turn: each packed lane and
+// accumulator, the single-vector loop and every slot of the scalar tail.
 TEST(Minscan, PlainScansFindTheExtremeInEveryLaneAndTheTail) {
   Rng rng(7);
   for (std::size_t n = 1; n <= kMaxLen; ++n) {
@@ -71,8 +79,7 @@ TEST(Minscan, PlainScansFindTheExtremeInEveryLaneAndTheTail) {
       std::vector<double> etc = random_row(rng, n);
       etc[at] = 0.25;  // ready + etc >= 1 elsewhere
       ready[at] = 0.5;
-      const double low = minscan::min_completion(ready.data(), etc.data(), n);
-      EXPECT_EQ(low, 0.75) << "n=" << n << " at=" << at;
+      EXPECT_EQ(scan_min(ready, etc), 0.75) << "n=" << n << " at=" << at;
       expect_plain_scans_match(ready, etc);
     }
   }
@@ -194,6 +201,38 @@ TEST(Minscan, SufferageScanTiedListAtZeroAndNanoEpsilon) {
     const minscan::SufferageScan loose = minscan::sufferage_scan(
         ready.data(), etc.data(), n, 1e-9, tied.data());
     EXPECT_GE(loose.tied_count, std::min<std::size_t>(n, 2)) << "n=" << n;
+  }
+}
+
+// The minimum at every index, then a partner at every other index: an
+// exact copy (a tied pair, min2 == min1) and a copy 0.5e-9 above it (the
+// second best, tied only at epsilon 1e-9). Every other score is above 11,
+// so the pair alone decides min1, min1_slot, min2 and the tied list,
+// wherever the two land among lanes, accumulators, loop and tail.
+TEST(Minscan, SufferageScanPlacesExtremeAndTiedPairInEveryLane) {
+  Rng rng(26);
+  for (std::size_t n = 1; n <= kMaxLen; ++n) {
+    const std::vector<double> etc(n, 0.0);
+    for (std::size_t at = 0; at < n; ++at) {
+      std::vector<double> ready = random_row(rng, n);
+      for (double& v : ready) v += 10.0;
+      ready[at] = 5.0;
+      expect_sufferage_matches(ready, etc, 0.0);
+      expect_sufferage_matches(ready, etc, 1e-9);
+      for (std::size_t partner = 0; partner < n; ++partner) {
+        if (partner == at) continue;
+        const double kept = ready[partner];
+        for (const double offset : {0.0, 0.5e-9}) {
+          ready[partner] = 5.0 + offset;
+          expect_sufferage_matches(ready, etc, 0.0);
+          expect_sufferage_matches(ready, etc, 1e-9);
+        }
+        ready[partner] = kept;
+        if (::testing::Test::HasFailure()) {
+          FAIL() << "n=" << n << " at=" << at << " partner=" << partner;
+        }
+      }
+    }
   }
 }
 

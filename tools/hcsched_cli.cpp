@@ -53,6 +53,7 @@
 // stays diffable.
 #include <charconv>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <initializer_list>
@@ -419,10 +420,20 @@ struct RobustnessSetup {
 
 RobustnessSetup make_robustness(const Args& args) {
   RobustnessSetup setup;
-  const long long budget_ms = args.get_ll("budget-ms", -1);
-  if (budget_ms >= 0) {
+  if (args.get("budget-ms")) {
+    // A count: a sign is malformed, and a year keeps the deadline in range
+    // of the token's signed nanoseconds.
+    constexpr std::size_t kMaxBudgetMs = 365ull * 24 * 3600 * 1000;
+    const std::size_t budget_ms = args.get_count("budget-ms", 0);
+    if (budget_ms > kMaxBudgetMs) {
+      throw std::invalid_argument("--budget-ms must be at most " +
+                                  std::to_string(kMaxBudgetMs) +
+                                  " (one year), got " +
+                                  std::to_string(budget_ms));
+    }
     setup.token.emplace();
-    setup.token->cancel_after(std::chrono::milliseconds(budget_ms));
+    setup.token->cancel_after(
+        std::chrono::milliseconds(static_cast<std::int64_t>(budget_ms)));
     setup.hooks.cancel = &*setup.token;
   }
   if (const auto resume_path = args.get("resume")) {
@@ -610,8 +621,7 @@ int cmd_witness(const Args& args) {
 int cmd_optimal(const Args& args) {
   const etc::EtcMatrix matrix = load_etc(args);
   core::OptimalOptions options;
-  options.node_limit = static_cast<std::uint64_t>(
-      args.get_ll("node-limit", 50'000'000));
+  options.node_limit = args.get_count("node-limit", 50'000'000);
   const auto result = core::solve_optimal(sched::Problem::full(matrix),
                                           options);
   std::printf("%s makespan %s after %llu nodes:\n%s",
