@@ -153,8 +153,7 @@ IterativeResult IterativeMinimizer::run(const Heuristic& heuristic,
                             ? heuristic.map_seeded(current, ties, seed)
                             : heuristic.map(current, ties);
       record.makespan = record.schedule.makespan();
-      record.makespan_machine =
-          record.schedule.makespan_machine(options_.epsilon);
+      record.makespan_machine = record.schedule.makespan_machine();
       HCSCHED_SPAN_ATTR(iteration_span, "index", obs::JsonValue(index));
       HCSCHED_SPAN_ATTR(iteration_span, "makespan",
                         obs::JsonValue(record.makespan));

@@ -68,6 +68,7 @@ struct IterativeResult {
 
   /// True when some iteration's effective makespan exceeds the original
   /// mapping's makespan by more than `epsilon`.
+  /// Reporting tolerance, not a tie rule: sums added in different orders.
   bool makespan_increased(double epsilon = 1e-9) const;
 };
 
@@ -75,8 +76,6 @@ struct IterativeOptions {
   /// Pass the previous iteration's schedule to Heuristic::map_seeded
   /// (Genitor's protocol in the paper). Greedy heuristics ignore the seed.
   bool use_seeding = true;
-  /// Epsilon used when identifying the makespan machine.
-  double epsilon = 1e-9;
 };
 
 class IterativeMinimizer {

@@ -48,8 +48,7 @@ InvarianceReport check_mapping_invariance(const IterativeResult& result,
 InvarianceReport verify_theorem(const Heuristic& heuristic,
                                 const Problem& problem, double epsilon) {
   TieBreaker deterministic;
-  IterativeMinimizer minimizer{IterativeOptions{.use_seeding = false,
-                                                .epsilon = epsilon}};
+  IterativeMinimizer minimizer{IterativeOptions{.use_seeding = false}};
   const IterativeResult result =
       minimizer.run(heuristic, problem, deterministic);
   return check_mapping_invariance(result, epsilon);

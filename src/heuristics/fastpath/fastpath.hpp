@@ -6,7 +6,7 @@
 // O(rounds x tasks x machines). The kernel here exploits the fact that one
 // round changes exactly one machine's ready time, and ready times only grow:
 // a surviving task's phase-one decision can change ONLY if the updated
-// machine slot was inside its epsilon-tied best set. All other tasks keep a
+// machine slot was inside its tied best set. All other tasks keep a
 // bit-identical candidate set and merely *replay* their decision. A round
 // therefore costs only the work that changed: invalidated tasks come off
 // per-slot reverse lists, singleton replays are accounted in bulk
@@ -70,12 +70,12 @@ class ScopedMode {
 
 /// Two-phase greedy (Min-Min / Max-Min, and Duplex which runs both):
 /// cached phase-one decisions replayed until the updated machine slot
-/// enters a task's epsilon-tied best set; phase two on a min tournament
+/// enters a task's tied best set; phase two on a min tournament
 /// tree over task positions (keys negated for Max-Min).
 Schedule two_phase_greedy_fast(const Problem& problem, TieBreaker& ties,
                                bool prefer_largest);
 
-/// Sufferage: one fused best-two / epsilon-tied scan of each pending task's
+/// Sufferage: one fused best-two / tied-set scan of each pending task's
 /// view row per pass. Nothing is cached across passes: every task that
 /// survives a pass lost a slot from its tied set that then commits, so its
 /// scan is stale anyway (sufferage_fast.cpp).

@@ -8,18 +8,17 @@
 namespace hcsched::heuristics::fastpath::minscan {
 
 SufferageScan sufferage_scan(const double* ready, const double* etc,
-                             std::size_t n, double eps,
-                             std::size_t* tied) noexcept {
+                             std::size_t n, std::size_t* tied) noexcept {
   const rng::Completions x{ready, etc};
   const rng::Two<double> low = rng::best_two<false>(x, n);
   const std::size_t slot = rng::find_first(x, n, low.best);
-  // Gap shortcut: rounded subtraction is monotone, so when min2 does not tie
-  // min1 no other slot does (n == 1 lands here too: min2 is +inf).
+  // Gap shortcut: when min2 differs from min1 the minimum is unique (n == 1
+  // lands here too: min2 is +inf).
   std::size_t count = 0;
-  if (!rng::is_tie(low.second, low.best, eps)) {
+  if (low.second != low.best) {
     tied[count++] = slot;
   } else {
-    rng::for_each_tied(x, n, low.best, eps,
+    rng::for_each_tied(x, n, low.best,
                        [&](std::size_t i) { tied[count++] = i; });
   }
   return SufferageScan{low.best, n == 1 ? low.best : low.second, slot, count};

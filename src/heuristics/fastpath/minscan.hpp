@@ -23,12 +23,10 @@ struct SufferageScan {
 /// index the reference's strict-< fold tracks), the minimum over the
 /// remaining slots (Sufferage's "second best" with multiplicity — a
 /// duplicated minimum yields min2 == min1), and the ascending list of slots
-/// tied to min1 under TieBreaker::tied, written to `tied` (capacity n). The
-/// two-phase kernel reads the tied list, Sufferage all of it. n must be
-/// >= 1; eps must be non-negative.
+/// whose score equals min1, written to `tied` (capacity n). The two-phase
+/// kernel reads the tied list, Sufferage all of it. n must be >= 1.
 SufferageScan sufferage_scan(const double* ready, const double* etc,
-                             std::size_t n, double eps,
-                             std::size_t* tied) noexcept;
+                             std::size_t n, std::size_t* tied) noexcept;
 
 /// The compiled scan width for result fingerprints, e.g. "simd2".
 const char* active_lanes() noexcept;

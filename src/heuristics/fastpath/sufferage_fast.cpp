@@ -4,9 +4,9 @@
 // Each pass rescans every pending task once: one fused scan
 // (minscan::sufferage_scan) over a contiguous EtcView row yields the exact
 // minimum completion time `min1`, the first slot attaining it `min1_slot`,
-// the minimum over every other slot `min2`, and the epsilon-tied candidate
-// list (ascending slots within TieBreaker epsilon of min1 — exactly what the
-// reference's choose_min builds). The decision goes through choose_among
+// the minimum over every other slot `min2`, and the tied candidate list
+// (ascending slots whose score equals min1 — exactly what the reference's
+// choose_min builds). The decision goes through choose_among
 // (same bookkeeping, same RNG/script draws), and the sufferage value follows
 // exactly:
 //     second_ct = (chosen == min1_slot) ? min2 : min1
@@ -99,9 +99,8 @@ Schedule sufferage_fast(const Problem& problem, TieBreaker& ties,
 #if HCSCHED_TRACE
       ++rescores;
 #endif
-      // The scan's tie predicate is ties.tied(min1, score).
-      const minscan::SufferageScan scan = minscan::sufferage_scan(
-          ready.data(), row.data(), m, ties.epsilon(), tied.data());
+      const minscan::SufferageScan scan =
+          minscan::sufferage_scan(ready.data(), row.data(), m, tied.data());
       // One decision per pending task per pass, exactly as the reference's
       // choose_min over the full score vector.
       const std::size_t best_slot = ties.choose_among(

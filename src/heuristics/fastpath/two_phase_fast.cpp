@@ -2,14 +2,14 @@
 // dispatch surface and docs/FASTPATH.md for the full equivalence argument).
 //
 // Invalidation invariant: a round changes exactly one ready time, and ready
-// times never decrease. For a surviving task whose epsilon-tied best set
-// did NOT contain the updated slot, every tied candidate's completion time
-// is unchanged and the updated slot's score only moved further above the
+// times never decrease. For a surviving task whose tied best set did NOT
+// contain the updated slot, every tied candidate's completion time is
+// unchanged and the updated slot's score only moved further above the
 // minimum, so the task's candidate set — and therefore the TieBreaker's
 // decision distribution — is bit-identical to a full rescore. Tasks whose
 // tied set contained the updated slot are rescored from scratch: the
-// minimum may migrate, and previously-out candidates within epsilon of the
-// *new* minimum may enter the set.
+// minimum may migrate, and previously-out candidates equal to the *new*
+// minimum may enter the set.
 //
 // A round costs only the work that changed:
 //  * Invalidation. A task with a singleton tied set sits on the reverse
@@ -98,10 +98,9 @@ Schedule two_phase_greedy_fast(const Problem& problem, TieBreaker& ties,
   const sched::EtcView view(problem);
 
   // Structure-of-arrays per-task state: the cached phase-one decision is a
-  // best slot, its completion time (the tree leaf), and the epsilon-tied
-  // candidate list (ascending slots — exactly what choose_min would build
-  // from the full score vector), stored as a fixed-stride slice of one flat
-  // pool.
+  // best slot, its completion time (the tree leaf), and the tied candidate
+  // list (ascending slots — exactly what choose_min would build from the
+  // full score vector), stored as a fixed-stride slice of one flat pool.
   const std::size_t leaves = std::bit_ceil(n);
   const std::size_t words = (n + kWordBits - 1) / kWordBits;
   ws.doubles.reset(m + 2 * leaves);
@@ -154,8 +153,7 @@ Schedule two_phase_greedy_fast(const Problem& problem, TieBreaker& ties,
     const double* const etc_row = view.row(p).data();
     std::size_t* const tied = tied_pool.data() + p * m;
     const std::size_t tcount =
-        minscan::sufferage_scan(ready.data(), etc_row, m, ties.epsilon(), tied)
-            .tied_count;
+        minscan::sufferage_scan(ready.data(), etc_row, m, tied).tied_count;
     tied_count[p] = static_cast<std::uint32_t>(tcount);
     if (tcount != 1) {
       mark_genuine(p, true);
@@ -196,10 +194,9 @@ Schedule two_phase_greedy_fast(const Problem& problem, TieBreaker& ties,
     ties.account_unique(remaining - redraws);
 
     // Phase 2: the root is the reference's min (Min-Min) or, negated, max
-    // (Max-Min) phase-one completion time. A subtree whose minimum does not
-    // tie the target holds no tied leaf, since the rounded distance from the
-    // target grows with the key; the left-first descent lists ties in
-    // ascending position order.
+    // (Max-Min) phase-one completion time. A subtree whose minimum is not
+    // the target holds no leaf equal to it (every key is >= the target);
+    // the left-first descent lists ties in ascending position order.
     const double target = tree[1];
     std::size_t tied_n = 0;
     // Holds at most one right sibling per level plus two children: 33
@@ -209,7 +206,7 @@ Schedule two_phase_greedy_fast(const Problem& problem, TieBreaker& ties,
     pending[depth++] = 1;
     while (depth > 0) {
       const std::size_t node = pending[--depth];
-      if (!ties.tied(target, tree[node])) continue;
+      if (tree[node] != target) continue;
       if (node >= leaves) {
         round_tied[tied_n++] = node - leaves;
         continue;

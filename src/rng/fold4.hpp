@@ -11,8 +11,6 @@
 #include <limits>
 #include <type_traits>
 
-#include "rng/tie_break.hpp"
-
 namespace hcsched::rng {
 
 namespace stdx = std::experimental;
@@ -126,21 +124,21 @@ template <typename Row>
   return i;
 }
 
-/// Calls visit(i) for each i in [0, n) with is_tie(x[i], best, eps), in
-/// ascending order: one packed compare per vector, then the tail.
+/// Calls visit(i) for each i in [0, n) with x[i] == best, in ascending
+/// order: one packed compare per vector, then the tail.
 template <typename Row, typename Visit>
-void for_each_tied(const Row& x, std::size_t n, double best, double eps,
+void for_each_tied(const Row& x, std::size_t n, double best,
                    Visit visit) noexcept {
   std::size_t i = 0;
   for (; i + kLanes <= n; i += kLanes) {
-    const Lanes::mask_type hit = !(stdx::abs(x.pack(i) - best) > eps);
+    const Lanes::mask_type hit = x.pack(i) == best;
     if (stdx::none_of(hit)) continue;
     for (std::size_t j = 0; j < kLanes; ++j) {
       if (hit[j]) visit(i + j);
     }
   }
   for (; i < n; ++i) {
-    if (is_tie(x[i], best, eps)) visit(i);
+    if (x[i] == best) visit(i);
   }
 }
 

@@ -10,10 +10,10 @@
 namespace hcsched::rng {
 
 // The best two scores are the values a sequential chain returns, up to the
-// sign of a zero, which the tie predicate cannot see. When the second does
-// not tie the best no other score can (the rounded distance only grows):
-// a singleton draw. Otherwise one packed pass counts the tied set and finds
-// its first member, for the draw(count) a collected list would take.
+// sign of a zero, which == cannot see. When the second differs from the
+// best, the best is unique: a singleton draw. Otherwise one packed pass
+// counts the tied set and finds its first member, for the draw(count) a
+// collected list would take.
 template <bool kLargest>
 std::size_t TieBreaker::choose_extreme(std::span<const double> scores) {
   if (scores.empty()) return npos;
@@ -24,18 +24,18 @@ std::size_t TieBreaker::choose_extreme(std::span<const double> scores) {
   const Scores x{scores.data()};
   const std::size_t n = scores.size();
   const Two<double> two = best_two<kLargest>(x, n);
-  if (!tied(two.best, two.second)) {
+  if (two.second != two.best) {
     draw(1);
     return find_first(x, n, two.best);
   }
   std::size_t count = 0;
   std::size_t first = n;
-  for_each_tied(x, n, two.best, epsilon_, [&](std::size_t i) {
+  for_each_tied(x, n, two.best, [&](std::size_t i) {
     if (count++ == 0) first = i;
   });
   std::size_t k = draw(count);
   for (std::size_t i = first;; ++i) {
-    if (tied(two.best, scores[i]) && k-- == 0) return i;
+    if (scores[i] == two.best && k-- == 0) return i;
   }
 }
 

@@ -10,11 +10,11 @@
 // the repo reproduces the paper's worked examples, where a *specific* random
 // outcome is what makes the makespan increase.
 //
-// Scores are compared with an absolute epsilon so fractional ETC values
-// (2.5, 6.5 in the paper's SWA example) tie exactly when intended.
+// Two scores tie when they are equal (a == b): the relation is transitive
+// and independent of the ETC values' scale, which the paper's invariance
+// theorems (core/theorems.hpp) need, and an all-+inf row is one tied set.
 #pragma once
 
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -24,14 +24,6 @@
 
 namespace hcsched::rng {
 
-/// The tie predicate a == b || |a - b| <= eps, so an all-+inf row ties
-/// every entry (inf - inf is NaN). Over non-NaN scores it is the single
-/// compare !(|a - b| > eps), the form here and in the packed passes of
-/// fold4.hpp.
-inline bool is_tie(double a, double b, double eps) noexcept {
-  return !(std::fabs(a - b) > eps);
-}
-
 enum class TiePolicy : std::uint8_t { kDeterministic, kRandom, kScripted };
 
 class TieBreaker {
@@ -40,25 +32,16 @@ class TieBreaker {
   TieBreaker() noexcept : policy_(TiePolicy::kDeterministic) {}
 
   /// Random tie-breaker drawing from `rng` (not owned; must outlive this).
-  explicit TieBreaker(Rng& rng, double epsilon = kDefaultEpsilon) noexcept
-      : policy_(TiePolicy::kRandom), rng_(&rng), epsilon_(epsilon) {}
+  explicit TieBreaker(Rng& rng) noexcept
+      : policy_(TiePolicy::kRandom), rng_(&rng) {}
 
   /// Scripted tie-breaker: the i-th tie consumes script[i] as an index into
   /// the tied candidate list (clamped); once the script is exhausted the
   /// policy degrades to deterministic.
-  explicit TieBreaker(std::vector<std::size_t> script,
-                      double epsilon = kDefaultEpsilon) noexcept
-      : policy_(TiePolicy::kScripted),
-        script_(std::move(script)),
-        epsilon_(epsilon) {}
+  explicit TieBreaker(std::vector<std::size_t> script) noexcept
+      : policy_(TiePolicy::kScripted), script_(std::move(script)) {}
 
   TiePolicy policy() const noexcept { return policy_; }
-  double epsilon() const noexcept { return epsilon_; }
-
-  /// Whether two scores are considered equal.
-  bool tied(double a, double b) const noexcept {
-    return is_tie(a, b, epsilon_);
-  }
 
   /// Index of the chosen minimal element of `scores` (empty input returns
   /// npos; a NaN score is a precondition violation).
@@ -81,7 +64,6 @@ class TieBreaker {
   /// Number of choose_* calls made so far (tied or not).
   std::size_t decisions() const noexcept { return decisions_; }
 
-  static constexpr double kDefaultEpsilon = 1e-9;
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
  private:
@@ -97,7 +79,6 @@ class TieBreaker {
   Rng* rng_ = nullptr;
   std::vector<std::size_t> script_{};
   std::size_t script_pos_ = 0;
-  double epsilon_ = kDefaultEpsilon;
   std::size_t tie_events_ = 0;
   std::size_t decisions_ = 0;
 };

@@ -97,23 +97,21 @@ double Schedule::makespan() const {
   return best;
 }
 
-MachineId Schedule::makespan_machine(double epsilon) const {
+MachineId Schedule::makespan_machine() const {
   if (ready_.empty()) {
     throw std::logic_error("Schedule::makespan_machine: no machines");
   }
   const double span = makespan();
-  // Lowest machine id among those within epsilon of the makespan.
+  // Lowest machine id among those whose ready time equals the makespan.
   MachineId best = -1;
   for (std::size_t slot = 0; slot < ready_.size(); ++slot) {
-    if (span - ready_[slot] <= epsilon) {
+    if (ready_[slot] == span) {
       const MachineId id = problem_.machines()[slot];
       if (best < 0 || id < best) best = id;
     }
   }
-  // The makespan machine itself is always within any epsilon >= 0 of the
-  // makespan, so the scan must have selected someone.
-  HCSCHED_INVARIANT(best >= 0, "no machine within ", epsilon,
-                    " of makespan ", span);
+  // The makespan is one of the ready times, so the scan selected someone.
+  HCSCHED_INVARIANT(best >= 0, "no machine at makespan ", span);
   return best;
 }
 

@@ -71,10 +71,9 @@ class Schedule {
   /// Largest completion time over the problem's machines.
   double makespan() const;
 
-  /// The machine attaining the makespan; completion-time ties are broken
-  /// toward the lowest machine id (deterministic, documented in DESIGN.md),
-  /// optionally within `epsilon`.
-  MachineId makespan_machine(double epsilon = 0.0) const;
+  /// The machine attaining the makespan; completion-time ties (exact
+  /// equality) are broken toward the lowest machine id (DESIGN.md).
+  MachineId makespan_machine() const;
 
   /// Tasks assigned to a machine (ids only).
   std::vector<TaskId> tasks_on(MachineId machine) const;

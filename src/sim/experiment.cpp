@@ -123,6 +123,7 @@ TrialOutcome run_one_trial(
         final_sum += final_ct;
         if (machine == span_machine) continue;  // frozen by definition
         const double delta = final_ct - orig_ct;
+        // Reporting tolerance, not a tie rule: sums added in different orders.
         if (delta < -1e-9) {
           ++record.machines_improved;
         } else if (delta > 1e-9) {

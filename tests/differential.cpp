@@ -149,6 +149,9 @@ DifferentialOutcome run_differential_case(const DifferentialCase& c) {
         double& cell = matrix.at(static_cast<sched::TaskId>(t),
                                  static_cast<sched::MachineId>(m));
         cell = std::max(1.0, std::round(cell));
+        if (c.near_tie_offsets) {
+          cell += 0.6e-9 * static_cast<double>(rng.below(3));
+        }
       }
     }
   }
@@ -320,7 +323,8 @@ std::string describe(const DifferentialCase& c) {
       << " consistency=" << etc::to_string(c.consistency)
       << " policy=" << policy_name(c.policy)
       << " heuristic=" << find_kernel(c.kernel)->name
-      << (c.integer_cells ? " integer" : "") << (c.subset ? " subset" : "")
+      << (c.integer_cells ? " integer" : "")
+      << (c.near_tie_offsets ? " near-tie" : "") << (c.subset ? " subset" : "")
       << (c.iterative ? " iterative" : "");
   return out.str();
 }

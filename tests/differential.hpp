@@ -37,6 +37,10 @@ struct DifferentialCase {
   /// phase of every heuristic. CVB draws are continuous and almost never
   /// tie exactly on their own, whatever the mean.
   bool integer_cells = false;
+  /// With integer_cells, add 0, 0.6e-9 or 1.2e-9 to every ETC cell: near
+  /// values form chains a ~ b ~ c whose ends are 1.2e-9 apart, which a tie
+  /// tolerance of 1e-9 would tie pairwise but not end to end.
+  bool near_tie_offsets = false;
   double mean_task_time = 100.0;
   double v_task = 0.6;
   double v_machine = 0.6;

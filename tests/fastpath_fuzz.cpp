@@ -62,13 +62,16 @@ fastpath::DifferentialCase derive_case(std::uint64_t seed,
       hcsched::etc::Consistency::kInconsistent,
   };
   c.consistency = kClasses[rng.below(3)];
-  // Every fourth seed rounds the cells to small integers, which manufactures
-  // exact ties in every phase; the rest stay in the well-separated regime.
-  if (seed % 4 == 0) {
+  // Seeds 0 (mod 4) round the cells to small integers, which manufactures
+  // exact ties in every phase; seeds 2 (mod 4) add sub-1e-9 offsets to those
+  // integers, so exact ties sit among near-tie chains that must not tie.
+  // The odd seeds stay in the well-separated regime.
+  if (seed % 2 == 0) {
     c.mean_task_time = 3.0;
     c.v_task = 0.3;
     c.v_machine = 0.3;
     c.integer_cells = true;
+    c.near_tie_offsets = seed % 4 == 2;
   }
   const std::size_t full_grid = 3 * table.size();
   if (variation < full_grid) {

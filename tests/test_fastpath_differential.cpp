@@ -128,7 +128,7 @@ TEST(FastpathDifferential, SubsetProblemsWithNonzeroReadyTimes) {
 }
 
 TEST(FastpathDifferential, NarrowEpsilonManufacturesManyTies) {
-  // Continuous CVB draws rarely tie to 1e-9; integer-valued matrices tie
+  // Continuous CVB draws rarely tie exactly; integer-valued matrices tie
   // constantly. Exercise the tied regime explicitly for every kernel: a
   // small mean rounded to integers forces coincident completion times.
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
@@ -278,8 +278,8 @@ EtcMatrix cvb_matrix(std::uint64_t seed, std::size_t tasks,
 
 /// `m` with each cell v replaced by ceil(v / 40): a few small integer
 /// levels, so most choices tie. A nonzero `jitter` then adds
-/// jitter * (cell index mod 4) to each cell, so tied scores can differ by
-/// less than TieBreaker epsilon instead of being equal.
+/// jitter * (cell index mod 4) to each cell, so some would-be ties become
+/// near values a fraction of a nanosecond apart, which must not tie.
 EtcMatrix tie_rich(const EtcMatrix& m, double jitter = 0.0) {
   std::vector<double> cells(m.data().begin(), m.data().end());
   for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -353,9 +353,10 @@ TEST(FastpathDifferential, SufferageWorkCountsPinned) {
 
 /// Runs the reference Sufferage and the kernel under `requeue` on seeds 1-8
 /// and compares schedules, decision and tie-event counts and the
-/// pass-by-pass commit trace. Seeds 7 and 8 add near ties: a task's chosen
-/// slot is often not the first exact minimum, which takes the sufferage's
-/// other branch.
+/// pass-by-pass commit trace. Seeds 7 and 8 are tie-rich with sub-nanosecond
+/// jitter: a task's chosen slot is often not the first exact minimum, which
+/// takes the sufferage's other branch, next to near values that must not
+/// tie.
 void expect_sufferage_requeue_matches(
     hcsched::heuristics::SufferageRequeue requeue, const std::string& label) {
   namespace h = hcsched::heuristics;

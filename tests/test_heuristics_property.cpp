@@ -4,9 +4,17 @@
 #include <cctype>
 
 #include <algorithm>
+#include <cmath>
+#include <functional>
+#include <iterator>
+#include <numeric>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "core/iterative.hpp"
+#include "core/paper_examples.hpp"
 #include "etc/cvb_generator.hpp"
 #include "heuristics/fastpath/fastpath.hpp"
 #include "heuristics/kpb.hpp"
@@ -103,6 +111,79 @@ TEST_P(HeuristicPropertyTest, HandlesSubsetProblemsWithReadyTimes) {
   EXPECT_GE(s.completion_time(3), 25.0 - 1e-9);
 }
 
+/// Heuristics with absolute thresholds of their own, so scaling the ETC
+/// values can change what they do: SA's SaConfig::min_temperature (1e-9),
+/// GSA's temperature floor (1e-9) and the best_span - 1e-12 improvement
+/// margins of Tabu and both local searches. On the instances below GSA and
+/// both local searches already map differently at 2^-30; SA and Tabu do not,
+/// but nothing in them guarantees it.
+constexpr std::string_view kScaleDependent[] = {
+    "SA", "GSA", "Tabu", "Local-Search", "Local-Search-FI"};
+
+/// `m` with every cell times `scale`.
+EtcMatrix scaled(const EtcMatrix& m, double scale) {
+  std::vector<double> cells(m.data().begin(), m.data().end());
+  for (double& cell : cells) cell *= scale;
+  return EtcMatrix::from_values(m.num_tasks(), m.num_machines(),
+                                std::move(cells));
+}
+
+/// Every task and machine of `m`, machine j ready at ready[j] (0 when
+/// `ready` is empty).
+Problem whole(const EtcMatrix& m, std::vector<double> ready) {
+  std::vector<hcsched::sched::TaskId> tasks(m.num_tasks());
+  std::vector<hcsched::sched::MachineId> machines(m.num_machines());
+  std::iota(tasks.begin(), tasks.end(), 0);
+  std::iota(machines.begin(), machines.end(), 0);
+  return Problem(m, std::move(tasks), std::move(machines), std::move(ready));
+}
+
+/// Runs the iterative technique on `m` and on a copy with every ETC cell
+/// and ready time times `scale`, a power of two: every sum, difference and
+/// ratio then scales exactly, so a scale-free heuristic must make the same
+/// decisions. Expects the same mapping and removed machine each iteration
+/// and finishing times exactly `scale` times the originals.
+void expect_scales_exactly(const hcsched::heuristics::Heuristic& heuristic,
+                           const EtcMatrix& m, const std::vector<double>& ready,
+                           const std::function<TieBreaker(Rng&)>& make_ties,
+                           double scale, const std::string& where) {
+  std::vector<double> scaled_ready = ready;
+  for (double& r : scaled_ready) r *= scale;
+  const EtcMatrix big = scaled(m, scale);
+  const hcsched::core::IterativeMinimizer minimizer;
+  Rng base_rng(17);
+  Rng scaled_rng(17);
+  TieBreaker base_ties = make_ties(base_rng);
+  TieBreaker scaled_ties = make_ties(scaled_rng);
+  const auto base = minimizer.run(heuristic, whole(m, ready), base_ties);
+  const auto other =
+      minimizer.run(heuristic, whole(big, scaled_ready), scaled_ties);
+  ASSERT_EQ(base.iterations.size(), other.iterations.size()) << where;
+  for (std::size_t i = 0; i < base.iterations.size(); ++i) {
+    const auto& a = base.iterations[i];
+    const auto& b = other.iterations[i];
+    const std::string at = where + ", iteration " + std::to_string(i);
+    EXPECT_EQ(a.makespan_machine, b.makespan_machine) << at;
+    for (const auto task : a.problem().tasks()) {
+      EXPECT_EQ(a.schedule.machine_of(task), b.schedule.machine_of(task))
+          << at << ", task " << task;
+    }
+    for (const auto machine : a.problem().machines()) {
+      EXPECT_EQ(a.schedule.completion_time(machine) * scale,
+                b.schedule.completion_time(machine))
+          << at << ", machine " << machine;
+    }
+  }
+  ASSERT_EQ(base.final_finishing_times.size(),
+            other.final_finishing_times.size())
+      << where;
+  for (std::size_t i = 0; i < base.final_finishing_times.size(); ++i) {
+    EXPECT_EQ(base.final_finishing_times[i].second * scale,
+              other.final_finishing_times[i].second)
+        << where << ", final finishing time " << i;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllHeuristics, HeuristicPropertyTest,
     ::testing::ValuesIn(hcsched::heuristics::known_heuristic_names()),
@@ -113,6 +194,52 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+TEST(HeuristicScaling, PowerOfTwoScalingScalesExactly) {
+  const auto deterministic = [](Rng&) { return TieBreaker(); };
+  const auto random = [](Rng& rng) { return TieBreaker(rng); };
+  for (const std::string& name : hcsched::heuristics::known_heuristic_names()) {
+    if (std::find(std::begin(kScaleDependent), std::end(kScaleDependent),
+                  name) != std::end(kScaleDependent)) {
+      continue;
+    }
+    const auto heuristic = hcsched::heuristics::make_heuristic(name);
+    // 2^-30 puts distinct small integers about 1e-9 apart; 2^20 spreads
+    // them about 1e6 apart.
+    for (const int exponent : {-30, 20}) {
+      const double scale = std::ldexp(1.0, exponent);
+      const std::string at = name + " x2^" + std::to_string(exponent);
+      for (const auto& example : hcsched::core::all_paper_examples()) {
+        const auto& script = example.tie_script;
+        expect_scales_exactly(
+            *heuristic, *example.matrix, {},
+            [&script](Rng&) {
+              return script.empty() ? TieBreaker() : TieBreaker(script);
+            },
+            scale, at + ", paper example " + example.id);
+      }
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        const std::string case_at = at + ", seed " + std::to_string(seed);
+        expect_scales_exactly(*heuristic, random_matrix(seed, 12, 4),
+                              {0.0, 30.0, 10.0, 55.0}, deterministic, scale,
+                              case_at + " CVB");
+        Rng rng(seed + 40);
+        std::vector<double> cells(10 * 4);
+        for (double& cell : cells) {
+          cell = static_cast<double>(rng.between(1, 4));
+        }
+        const EtcMatrix ints = EtcMatrix::from_values(10, 4, std::move(cells));
+        for (const auto& ties :
+             {std::function<TieBreaker(Rng&)>(deterministic),
+              std::function<TieBreaker(Rng&)>(random)}) {
+          expect_scales_exactly(*heuristic, ints, {0.0, 2.0, 1.0, 0.0}, ties,
+                                scale, case_at + " tie-rich");
+        }
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
 
 TEST(HeuristicComparisons, KpbWithFullPercentEqualsMct) {
   hcsched::heuristics::Kpb kpb100(100.0);

@@ -85,7 +85,7 @@ IterativeResult copying_run(const Heuristic& heuristic, const Problem& problem,
                           ? heuristic.map_seeded(current, ties, seed)
                           : heuristic.map(current, ties);
     record.makespan = record.schedule.makespan();
-    record.makespan_machine = record.schedule.makespan_machine(options.epsilon);
+    record.makespan_machine = record.schedule.makespan_machine();
     result.iterations.push_back(std::move(record));
     const IterationRecord& done = result.iterations.back();
     if (current.num_machines() == 1 || current.num_tasks() == 0) {

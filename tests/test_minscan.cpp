@@ -42,7 +42,7 @@ double seq_min_completion(const std::vector<double>& ready,
 double scan_min(const std::vector<double>& ready,
                 const std::vector<double>& etc) {
   std::vector<std::size_t> tied(ready.size());
-  return minscan::sufferage_scan(ready.data(), etc.data(), ready.size(), 0.0,
+  return minscan::sufferage_scan(ready.data(), etc.data(), ready.size(),
                                  tied.data())
       .min1;
 }
@@ -94,7 +94,7 @@ struct NaiveScan {
   std::vector<std::size_t> tied{};
 };
 
-NaiveScan naive_scan(const std::vector<double>& x, double eps) {
+NaiveScan naive_scan(const std::vector<double>& x) {
   NaiveScan out;
   out.min1 = x[0];
   for (std::size_t i = 1; i < x.size(); ++i) {
@@ -109,25 +109,25 @@ NaiveScan naive_scan(const std::vector<double>& x, double eps) {
     if (i != out.min1_slot) out.min2 = std::min(out.min2, x[i]);
   }
   for (std::size_t i = 0; i < x.size(); ++i) {
-    if (x[i] - out.min1 <= eps) out.tied.push_back(i);
+    if (x[i] == out.min1) out.tied.push_back(i);
   }
   return out;
 }
 
 void expect_sufferage_matches(const std::vector<double>& ready,
-                              const std::vector<double>& etc, double eps) {
+                              const std::vector<double>& etc) {
   const std::size_t n = ready.size();
   std::vector<double> x(n);
   for (std::size_t i = 0; i < n; ++i) x[i] = ready[i] + etc[i];
-  const NaiveScan want = naive_scan(x, eps);
+  const NaiveScan want = naive_scan(x);
   std::vector<std::size_t> tied(n, n);
   const minscan::SufferageScan got =
-      minscan::sufferage_scan(ready.data(), etc.data(), n, eps, tied.data());
+      minscan::sufferage_scan(ready.data(), etc.data(), n, tied.data());
   EXPECT_EQ(got.min1, want.min1) << "n=" << n;
   EXPECT_EQ(got.min1_slot, want.min1_slot) << "n=" << n;
   EXPECT_EQ(got.min2, want.min2) << "n=" << n;
   tied.resize(got.tied_count);
-  EXPECT_EQ(tied, want.tied) << "n=" << n << " eps=" << eps;
+  EXPECT_EQ(tied, want.tied) << "n=" << n;
 }
 
 TEST(Minscan, SufferageScanMatchesTwoPassReferenceOnRandomRows) {
@@ -136,8 +136,7 @@ TEST(Minscan, SufferageScanMatchesTwoPassReferenceOnRandomRows) {
     for (int rep = 0; rep < 8; ++rep) {
       const auto ready = random_row(rng, n);
       const auto etc = random_row(rng, n);
-      expect_sufferage_matches(ready, etc, 0.0);
-      expect_sufferage_matches(ready, etc, 1e-9);
+      expect_sufferage_matches(ready, etc);
     }
   }
 }
@@ -154,12 +153,12 @@ TEST(Minscan, SufferageScanDuplicatedMinimumGivesEqualSecond) {
       ready[first] = 0.5;
       ready[dup] = 0.5;
       std::vector<std::size_t> tied(n);
-      const minscan::SufferageScan got = minscan::sufferage_scan(
-          ready.data(), etc.data(), n, 0.0, tied.data());
+      const minscan::SufferageScan got =
+          minscan::sufferage_scan(ready.data(), etc.data(), n, tied.data());
       EXPECT_EQ(got.min1, 0.5);
       EXPECT_EQ(got.min2, got.min1) << "n=" << n;
       EXPECT_EQ(got.min1_slot, first) << "n=" << n;
-      expect_sufferage_matches(ready, etc, 0.0);
+      expect_sufferage_matches(ready, etc);
     }
   }
 }
@@ -176,38 +175,33 @@ TEST(Minscan, SufferageScanMatchesReferenceOnIntegerRows) {
         ready[i] = static_cast<double>(rng.below(4));
         etc[i] = static_cast<double>(1 + rng.below(4));
       }
-      expect_sufferage_matches(ready, etc, 0.0);
-      expect_sufferage_matches(ready, etc, 1e-9);
+      expect_sufferage_matches(ready, etc);
     }
   }
 }
 
 // Distinct scores 0.5e-9 apart, the minimum rotating through the lanes:
-// eps = 0 ties only the minimum, eps = 1e-9 also its nearest neighbours.
-TEST(Minscan, SufferageScanTiedListAtZeroAndNanoEpsilon) {
+// only the minimum is tied, however close its neighbours sit.
+TEST(Minscan, SufferageScanNearValuesDoNotTie) {
   for (std::size_t n = 1; n <= kMaxLen; ++n) {
     std::vector<double> ready(n);
     const std::vector<double> etc(n, 1.0);
     for (std::size_t i = 0; i < n; ++i) {
       ready[i] = 10.0 + 0.5e-9 * static_cast<double>((i + n / 2) % n);
     }
-    expect_sufferage_matches(ready, etc, 0.0);
-    expect_sufferage_matches(ready, etc, 1e-9);
+    expect_sufferage_matches(ready, etc);
 
     std::vector<std::size_t> tied(n);
-    const minscan::SufferageScan exact = minscan::sufferage_scan(
-        ready.data(), etc.data(), n, 0.0, tied.data());
+    const minscan::SufferageScan exact =
+        minscan::sufferage_scan(ready.data(), etc.data(), n, tied.data());
     EXPECT_EQ(exact.tied_count, 1u) << "n=" << n;
-    const minscan::SufferageScan loose = minscan::sufferage_scan(
-        ready.data(), etc.data(), n, 1e-9, tied.data());
-    EXPECT_GE(loose.tied_count, std::min<std::size_t>(n, 2)) << "n=" << n;
   }
 }
 
 // The minimum at every index, then a partner at every other index: an
 // exact copy (a tied pair, min2 == min1) and a copy 0.5e-9 above it (the
-// second best, tied only at epsilon 1e-9). Every other score is above 11,
-// so the pair alone decides min1, min1_slot, min2 and the tied list,
+// second best, a near value that must not tie). Every other score is above
+// 11, so the pair alone decides min1, min1_slot, min2 and the tied list,
 // wherever the two land among lanes, accumulators, loop and tail.
 TEST(Minscan, SufferageScanPlacesExtremeAndTiedPairInEveryLane) {
   Rng rng(26);
@@ -217,15 +211,13 @@ TEST(Minscan, SufferageScanPlacesExtremeAndTiedPairInEveryLane) {
       std::vector<double> ready = random_row(rng, n);
       for (double& v : ready) v += 10.0;
       ready[at] = 5.0;
-      expect_sufferage_matches(ready, etc, 0.0);
-      expect_sufferage_matches(ready, etc, 1e-9);
+      expect_sufferage_matches(ready, etc);
       for (std::size_t partner = 0; partner < n; ++partner) {
         if (partner == at) continue;
         const double kept = ready[partner];
         for (const double offset : {0.0, 0.5e-9}) {
           ready[partner] = 5.0 + offset;
-          expect_sufferage_matches(ready, etc, 0.0);
-          expect_sufferage_matches(ready, etc, 1e-9);
+          expect_sufferage_matches(ready, etc);
         }
         ready[partner] = kept;
         if (::testing::Test::HasFailure()) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace {
 
 using hcsched::etc::EtcMatrix;
@@ -58,14 +60,24 @@ TEST(Schedule, MakespanMachineTieGoesToLowestId) {
   EXPECT_EQ(s.makespan_machine(), 0);
 }
 
-TEST(Schedule, MakespanMachineEpsilonWidensTie) {
-  const EtcMatrix m = EtcMatrix::from_rows({{2.9999999, 0}, {0, 3}});
-  const Problem p = Problem::full(m);
+TEST(Schedule, MakespanMachineTieIsExactEquality) {
+  // An exact two-way tie at the makespan: the lowest id wins, whatever the
+  // near-miss below it.
+  const double below = std::nextafter(3.0, 0.0);
+  const EtcMatrix tied =
+      EtcMatrix::from_rows({{below, 0, 0}, {0, 3, 0}, {0, 0, 3}});
+  const Problem p = Problem::full(tied);
   Schedule s(p);
-  s.assign(0, 0);
-  s.assign(1, 1);
-  EXPECT_EQ(s.makespan_machine(0.0), 1);
-  EXPECT_EQ(s.makespan_machine(1e-3), 0);  // within epsilon -> lowest id
+  for (int t = 0; t < 3; ++t) s.assign(t, t);
+  EXPECT_EQ(s.makespan_machine(), 1);
+
+  // A near-miss on the lower id is no tie: the true maximum wins.
+  const EtcMatrix near = EtcMatrix::from_rows({{below, 0}, {0, 3}});
+  const Problem q = Problem::full(near);
+  Schedule r(q);
+  r.assign(0, 0);
+  r.assign(1, 1);
+  EXPECT_EQ(r.makespan_machine(), 1);
 }
 
 TEST(Schedule, DoubleAssignThrows) {

@@ -6,6 +6,8 @@
 
 #include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "core/paper_examples.hpp"
 #include "core/witness.hpp"
@@ -70,6 +72,54 @@ TEST_P(TheoremTest, MappingInvariantUnderDeterministicTies) {
     const auto report = verify_theorem(*heuristic, Problem::full(m));
     EXPECT_TRUE(report.holds) << name << " (tie-rich): " << report.violation;
   }
+}
+
+/// A t x m matrix (t in 3-8, m in 2-4) of cells an integer 1-4 plus an
+/// offset of 0, 0.6e-9 or 1.2e-9: neighbours 0.6e-9 apart chain a ~ b ~ c
+/// with ends 1.2e-9 apart, which an absolute tie tolerance of 1e-9 ties
+/// pairwise but not end to end.
+EtcMatrix near_tie_chain_matrix(Rng& rng) {
+  const auto tasks = static_cast<std::size_t>(rng.between(3, 8));
+  const auto machines = static_cast<std::size_t>(rng.between(2, 4));
+  std::vector<double> cells(tasks * machines);
+  for (double& cell : cells) {
+    cell = static_cast<double>(rng.between(1, 4)) +
+           0.6e-9 * static_cast<double>(rng.below(3));
+  }
+  return EtcMatrix::from_values(tasks, machines, std::move(cells));
+}
+
+// The theorems need a transitive tie relation. Exact equality is one; a
+// tolerance is not, and near-tie chains break the invariance under it.
+TEST(Theorems, NearTieChainsKeepMappingInvariant) {
+  constexpr int kInstances = 20000;
+  for (const char* name : {"Min-Min", "MCT", "MET"}) {
+    const auto heuristic = hcsched::heuristics::make_heuristic(name);
+    Rng rng(2718);
+    int violations = 0;
+    std::string first;
+    for (int i = 0; i < kInstances; ++i) {
+      const EtcMatrix m = near_tie_chain_matrix(rng);
+      const auto report = verify_theorem(*heuristic, Problem::full(m));
+      if (report.holds) continue;
+      if (violations++ == 0) {
+        first = "instance " + std::to_string(i) + ": " + report.violation;
+      }
+    }
+    EXPECT_EQ(violations, 0) << name << ", first " << first;
+  }
+}
+
+TEST(Theorems, MetNearTieChainRegression) {
+  // Task 0's best ETC is 1 on m2, with m1 0.6e-9 and m0 1.2e-9 above it;
+  // task 1 makes m2 the makespan machine. A 1e-9 tolerance ties {m1, m2},
+  // maps task 0 to m1, then after m2's removal ties {m0, m1} and moves it
+  // to m0. Exact ties map it to m2 and never move it.
+  const EtcMatrix m =
+      EtcMatrix::from_rows({{1 + 1.2e-9, 1 + 0.6e-9, 1, 4}, {4, 4, 2, 4}});
+  const auto met = hcsched::heuristics::make_heuristic("MET");
+  const auto report = verify_theorem(*met, Problem::full(m));
+  EXPECT_TRUE(report.holds) << report.violation;
 }
 
 INSTANTIATE_TEST_SUITE_P(

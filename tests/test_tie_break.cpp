@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -33,26 +34,19 @@ std::vector<std::size_t> test_script(std::uint64_t seed) {
 /// A TieBreaker under `policy` plus the RNG it draws from, for side-by-side
 /// comparisons of two identically-configured instances.
 struct PolicyCase {
-  explicit PolicyCase(TiePolicy policy, std::uint64_t seed,
-                      double epsilon = TieBreaker::kDefaultEpsilon)
-      : rng(seed), ties(make(policy, rng, seed, epsilon)) {}
+  explicit PolicyCase(TiePolicy policy, std::uint64_t seed)
+      : rng(seed), ties(make(policy, rng, seed)) {}
 
-  static TieBreaker make(TiePolicy policy, Rng& rng, std::uint64_t seed,
-                         double epsilon) {
+  static TieBreaker make(TiePolicy policy, Rng& rng, std::uint64_t seed) {
     switch (policy) {
       case TiePolicy::kRandom:
-        return TieBreaker(rng, epsilon);
+        return TieBreaker(rng);
       case TiePolicy::kScripted:
-        return TieBreaker(test_script(seed), epsilon);
+        return TieBreaker(test_script(seed));
       case TiePolicy::kDeterministic:
         break;
     }
-    // TieBreaker() fixes epsilon at the default; at any other epsilon the
-    // deterministic policy is the empty script, which the header defines
-    // to pick the first tied candidate.
-    return epsilon == TieBreaker::kDefaultEpsilon
-               ? TieBreaker()
-               : TieBreaker(std::vector<std::size_t>{}, epsilon);
+    return TieBreaker();
   }
 
   Rng rng;
@@ -60,14 +54,13 @@ struct PolicyCase {
 };
 
 /// choose_min/choose_max built the obvious way: a sequential std::min /
-/// std::max chain, the tied indices collected into a vector, then one picked
-/// under the policy. Tracks its own decision/tie-event counts and script
-/// position, and shares no code with src/rng/.
+/// std::max chain, the indices equal to the extreme collected into a vector,
+/// then one picked under the policy. Tracks its own decision/tie-event
+/// counts and script position, and shares no code with src/rng/.
 class OracleTieBreaker {
  public:
-  OracleTieBreaker(TiePolicy policy, Rng& rng, std::uint64_t seed,
-                   double epsilon = TieBreaker::kDefaultEpsilon)
-      : policy_(policy), rng_(&rng), epsilon_(epsilon) {
+  OracleTieBreaker(TiePolicy policy, Rng& rng, std::uint64_t seed)
+      : policy_(policy), rng_(&rng) {
     if (policy == TiePolicy::kScripted) script_ = test_script(seed);
   }
 
@@ -79,10 +72,7 @@ class OracleTieBreaker {
     }
     std::vector<std::size_t> tied;
     for (std::size_t i = 0; i < scores.size(); ++i) {
-      const double d = best - scores[i];
-      if (scores[i] == best || (d < 0 ? -d : d) <= epsilon_) {
-        tied.push_back(i);
-      }
+      if (scores[i] == best) tied.push_back(i);
     }
     if (tied.size() == 1) return tied.front();
     ++tie_events;
@@ -106,7 +96,6 @@ class OracleTieBreaker {
  private:
   TiePolicy policy_;
   Rng* rng_;
-  double epsilon_;
   std::vector<std::size_t> script_{};
   std::size_t script_pos_ = 0;
 };
@@ -145,41 +134,40 @@ TEST(TieBreaker, EmptyInputReturnsNpos) {
   EXPECT_EQ(tb.choose_among({}), TieBreaker::npos);
 }
 
-TEST(TieBreaker, EpsilonGroupsNearTies) {
-  TieBreaker coarse(std::vector<std::size_t>{}, /*epsilon=*/0.1);
-  const std::vector<double> scores = {1.05, 1.0, 2.0};
-  // 1.05 ties 1.0 within 0.1; scripted-exhausted policy picks first tied.
-  EXPECT_EQ(coarse.choose_min(scores), 0u);
-  EXPECT_EQ(coarse.tie_events(), 1u);
-
-  TieBreaker fine;  // epsilon 1e-9
-  EXPECT_EQ(fine.choose_min(scores), 1u);
-  EXPECT_EQ(fine.tie_events(), 0u);
-}
-
 TEST(TieBreaker, TiedPredicate) {
+  // A tie is exact equality: the next double above 1.0 is a distinct
+  // score, however small the gap.
+  const std::vector<double> near = {1.0, std::nextafter(1.0, 2.0)};
   TieBreaker tb;
-  EXPECT_TRUE(tb.tied(1.0, 1.0));
-  EXPECT_TRUE(tb.tied(1.0, 1.0 + 1e-10));
-  EXPECT_FALSE(tb.tied(1.0, 1.001));
+  EXPECT_EQ(tb.choose_min(near), 0u);
+  EXPECT_EQ(tb.choose_max(near), 1u);
+  EXPECT_EQ(tb.tie_events(), 0u);
+  const std::vector<double> equal = {1.0, 1.0};
+  EXPECT_EQ(tb.choose_min(equal), 0u);
+  EXPECT_EQ(tb.tie_events(), 1u);
+  EXPECT_EQ(tb.decisions(), 3u);
 }
 
 TEST(TieBreaker, InfiniteScoresTieOnlyTheSameInfinity) {
   TieBreaker tb;
-  EXPECT_TRUE(tb.tied(kInf, kInf));
-  EXPECT_TRUE(tb.tied(-kInf, -kInf));
-  EXPECT_FALSE(tb.tied(kInf, -kInf));
-  EXPECT_FALSE(tb.tied(kInf, 1e308));
-  // A row of +inf is one tied set: the deterministic policy takes its first
-  // member and records a genuine tie, in both directions.
+  // +inf and -inf, and +inf and the largest finite scores, never tie.
+  const std::vector<double> opposite = {kInf, -kInf};
+  EXPECT_EQ(tb.choose_min(opposite), 1u);
+  EXPECT_EQ(tb.choose_max(opposite), 0u);
+  const std::vector<double> finite_max = {1e308, kInf};
+  EXPECT_EQ(tb.choose_max(finite_max), 1u);
+  EXPECT_EQ(tb.tie_events(), 0u);
+  // A row of +inf (or -inf) is one tied set: the deterministic policy takes
+  // its first member and records a genuine tie, in both directions.
   const std::vector<double> all_inf(5, kInf);
   EXPECT_EQ(tb.choose_min(all_inf), 0u);
   EXPECT_EQ(tb.choose_max(all_inf), 0u);
-  EXPECT_EQ(tb.tie_events(), 2u);
+  EXPECT_EQ(tb.choose_min(std::vector<double>(3, -kInf)), 0u);
+  EXPECT_EQ(tb.tie_events(), 3u);
   const std::vector<double> mixed = {kInf, 3.0, kInf, 3.0};
   EXPECT_EQ(tb.choose_min(mixed), 1u);
   EXPECT_EQ(tb.choose_max(mixed), 0u);
-  EXPECT_EQ(tb.tie_events(), 4u);
+  EXPECT_EQ(tb.tie_events(), 5u);
 }
 
 #if HCSCHED_CHECK_ENABLED
@@ -252,18 +240,18 @@ TEST(TieBreaker, PolicyAccessors) {
   TieBreaker det;
   EXPECT_EQ(det.policy(), TiePolicy::kDeterministic);
   Rng rng(1);
-  TieBreaker rnd(rng, 0.5);
+  TieBreaker rnd(rng);
   EXPECT_EQ(rnd.policy(), TiePolicy::kRandom);
-  EXPECT_DOUBLE_EQ(rnd.epsilon(), 0.5);
   TieBreaker scripted(std::vector<std::size_t>{1});
   EXPECT_EQ(scripted.policy(), TiePolicy::kScripted);
 }
 
 TEST(TieBreaker, ChooseMinMaxMatchTiedVectorOracle) {
   // Random score vectors drawn from a handful of values (so exact ties are
-  // the norm, not the exception) plus sub-epsilon jitter on some cells: the
-  // allocation-free count-then-locate pick must equal the collect-then-pick
-  // oracle's, and so must the counts and the RNG stream left behind.
+  // the norm, not the exception) plus 1e-10 jitter on some cells, near
+  // values that must not tie: the allocation-free count-then-locate pick
+  // must equal the collect-then-pick oracle's, and so must the counts and
+  // the RNG stream left behind.
   for (const TiePolicy policy : kPolicies) {
     for (std::uint64_t seed = 1; seed <= 40; ++seed) {
       PolicyCase subject(policy, seed);
@@ -346,19 +334,16 @@ TEST(TieBreaker, AccountUniqueEqualsSingletonChooseAmong) {
 // ones the fastpath kernels use, so the reference-vs-kernel differential
 // suite no longer checks either against independent code. This suite does:
 // every length from 1 to 70 (every lane, accumulator, single-vector step and
-// tail length holds the extreme somewhere), both an exact and the default
-// epsilon, every policy, against OracleTieBreaker.
+// tail length holds the extreme somewhere), every policy, against
+// OracleTieBreaker.
 
 constexpr std::size_t kFoldMaxLen = 70;
-constexpr double kFoldEpsilons[] = {0.0, 1e-9};
 
-/// One subject TieBreaker and its oracle twin under the same policy and
-/// epsilon, random ones drawing from equally-seeded RNGs.
+/// One subject TieBreaker and its oracle twin under the same policy, random
+/// ones drawing from equally-seeded RNGs.
 struct FoldPair {
-  FoldPair(TiePolicy policy, double epsilon, std::uint64_t seed)
-      : subject(policy, seed, epsilon),
-        twin_rng(seed),
-        twin(policy, twin_rng, seed, epsilon) {}
+  FoldPair(TiePolicy policy, std::uint64_t seed)
+      : subject(policy, seed), twin_rng(seed), twin(policy, twin_rng, seed) {}
 
   /// Runs choose_min and choose_max on `scores` through both and checks
   /// the chosen indices agree.
@@ -388,21 +373,18 @@ struct FoldPair {
   OracleTieBreaker twin;
 };
 
-/// Runs `body(pair, where)` for every policy and epsilon, then compares the
-/// pair's counts and RNG streams. Stops at the first failing pair, so a
-/// broken subject is reported once instead of once per row.
+/// Runs `body(pair, where)` for every policy, then compares the pair's
+/// counts and RNG streams. Stops at the first failing pair, so a broken
+/// subject is reported once instead of once per row.
 template <typename Body>
 void for_each_fold_pair(std::uint64_t seed, Body body) {
   for (const TiePolicy policy : kPolicies) {
-    for (const double epsilon : kFoldEpsilons) {
-      FoldPair pair(policy, epsilon, seed);
-      const std::string where =
-          "policy " + std::to_string(static_cast<int>(policy)) +
-          " epsilon " + ::testing::PrintToString(epsilon);
-      body(pair, where);
-      pair.check_state(where);
-      if (::testing::Test::HasFailure()) return;
-    }
+    FoldPair pair(policy, seed);
+    const std::string where =
+        "policy " + std::to_string(static_cast<int>(policy));
+    body(pair, where);
+    pair.check_state(where);
+    if (::testing::Test::HasFailure()) return;
   }
 }
 
@@ -431,9 +413,9 @@ TEST(TieBreakerFold, AllEqualRowsMatchOracle) {
 }
 
 TEST(TieBreakerFold, TieRichRowsMatchOracle) {
-  // Small integers make exact ties the norm; sub-nanosecond jitter on some
-  // cells ties at epsilon 1e-9 but not at 0, and a few -0.0 / +0.0 pairs
-  // probe the one difference the four-lane fold may make (a zero's sign).
+  // Small integers make exact ties the norm; 1e-10 jitter on some cells
+  // makes near values that must not tie, and a few -0.0 / +0.0 pairs probe
+  // the one difference the four-lane fold may make (a zero's sign).
   for_each_fold_pair(13, [](FoldPair& pair, const std::string& where) {
     Rng gen(103);
     for (std::size_t n = 1; n <= kFoldMaxLen; ++n) {
@@ -478,8 +460,8 @@ TEST(TieBreakerFold, ExtremeAtEveryIndexMatchesOracle) {
 
 TEST(TieBreakerFold, TiedPairAtEveryIndexPairMatchesOracle) {
   // The extreme at every index and a partner at every other index: an exact
-  // copy (a genuine tie at both epsilons) or a copy 0.5e-9 away (a tie only
-  // at epsilon 1e-9, otherwise the second best that the gap test reads).
+  // copy (a genuine tie) or a copy 0.5e-9 away (a near value that must not
+  // tie: the second best that the gap test reads).
   // Whatever lane, accumulator, loop or tail each lands in, the pair alone
   // decides the tied set.
   for_each_fold_pair(15, [](FoldPair& pair, const std::string& where) {
@@ -512,8 +494,8 @@ TEST(TieBreakerFold, TiedPairAtEveryIndexPairMatchesOracle) {
 }
 
 TEST(TieBreakerFold, InfiniteRowsMatchOracle) {
-  // A row of +inf (or -inf) ties every entry, since the tie predicate
-  // counts exact equality; +inf at every index of a finite row is a unique
+  // A row of +inf (or -inf) ties every entry, since a tie is exact
+  // equality; +inf at every index of a finite row is a unique
   // maximum that no minimum may pick.
   for_each_fold_pair(16, [](FoldPair& pair, const std::string& where) {
     Rng gen(113);
