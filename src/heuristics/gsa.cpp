@@ -61,9 +61,12 @@ Schedule Gsa::do_map_seeded(const Problem& problem, TieBreaker& ties,
     return best;
   };
 
+  // Stop at 1e-9 of the start temperature: relative, so the run is
+  // scale-free.
   double temperature = population[best_index()].makespan;
-  for (std::size_t step = 0; step < config_.steps && temperature > 1e-9;
-       ++step) {
+  const double min_temperature = 1e-9 * temperature;
+  for (std::size_t step = 0;
+       step < config_.steps && temperature > min_temperature; ++step) {
     // Anytime contract: stop within one step once a budget is cancelled;
     // the population's best is always a complete mapping.
     if (core::cancellation_requested()) break;

@@ -26,10 +26,11 @@ double span_with(const std::vector<double>& load, std::size_t a, double new_a,
 /// (all moves by (task, target), then all swaps by (task, task)).
 /// Steepest: remember the best improving neighbor and apply it at the end.
 /// First improvement: apply the first improving neighbor immediately.
+/// A neighbor improves when it beats the makespan by more than `margin`.
 /// Returns false when the pass found no improvement (local minimum).
 bool descent_pass(const ga::Evaluator& evaluator, ga::Chromosome& chromosome,
                   std::vector<double>& load, double& makespan,
-                  bool first_improvement) {
+                  double margin, bool first_improvement) {
   const std::size_t machines = load.size();
   const std::size_t n = chromosome.size();
   double best_span = makespan;
@@ -58,7 +59,7 @@ bool descent_pass(const ga::Evaluator& evaluator, ga::Chromosome& chromosome,
       if (to == from) continue;
       const double span = span_with(load, from, load[from] - etc_from, to,
                                     load[to] + evaluator.etc(i, to));
-      if (span < best_span - 1e-12) {
+      if (span < best_span - margin) {
         if (first_improvement) {
           apply_move(i, to);
           makespan = span;
@@ -81,7 +82,7 @@ bool descent_pass(const ga::Evaluator& evaluator, ga::Chromosome& chromosome,
       const double new_a = load[a] - etc_ia + evaluator.etc(j, a);
       const double new_b = load[b] - evaluator.etc(j, b) + evaluator.etc(i, b);
       const double span = span_with(load, a, new_a, b, new_b);
-      if (span < best_span - 1e-12) {
+      if (span < best_span - margin) {
         if (first_improvement) {
           apply_swap(i, j);
           makespan = span;
@@ -109,9 +110,9 @@ bool descent_pass(const ga::Evaluator& evaluator, ga::Chromosome& chromosome,
 /// anytime contract holds. Returns the number of neighbors applied.
 std::size_t descend(const ga::Evaluator& evaluator, ga::Chromosome& chromosome,
                     std::vector<double>& load, double& makespan,
-                    bool first_improvement) {
+                    double margin, bool first_improvement) {
   std::size_t steps = 0;
-  while (descent_pass(evaluator, chromosome, load, makespan,
+  while (descent_pass(evaluator, chromosome, load, makespan, margin,
                       first_improvement)) {
     ++steps;
     if (core::cancellation_requested()) break;
@@ -149,8 +150,11 @@ Schedule LocalSearch::do_map_seeded(const Problem& problem, TieBreaker& ties,
   ga::Evaluator evaluator(problem);
   std::vector<double> load = evaluator.loads(current.genes());
   double span = *std::max_element(load.begin(), load.end());
-  std::size_t steps =
-      descend(evaluator, current, load, span, config_.first_improvement);
+  // Improvement margin relative to the initial makespan, so the search is
+  // scale-free.
+  const double margin = 1e-12 * span;
+  std::size_t steps = descend(evaluator, current, load, span, margin,
+                              config_.first_improvement);
 
   ga::Chromosome best = current;
   double best_span = span;
@@ -172,9 +176,9 @@ Schedule LocalSearch::do_map_seeded(const Problem& problem, TieBreaker& ties,
       ++restarts;
       load = evaluator.loads(current.genes());
       span = *std::max_element(load.begin(), load.end());
-      steps += descend(evaluator, current, load, span,
+      steps += descend(evaluator, current, load, span, margin,
                        config_.first_improvement);
-      if (span < best_span - 1e-12) {
+      if (span < best_span - margin) {
         best = current;
         best_span = span;
       }

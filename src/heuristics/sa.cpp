@@ -45,9 +45,10 @@ Schedule SimulatedAnnealing::do_map_seeded(const Problem& problem,
   double best_span = current_span;
 
   double temperature = current_span;
-  for (std::size_t step = 0;
-       step < config_.steps && temperature > config_.min_temperature &&
-       problem.num_tasks() > 0;
+  const double min_temperature = 1e-9 * temperature;
+  for (std::size_t step = 0; step < config_.steps &&
+                             temperature > min_temperature &&
+                             problem.num_tasks() > 0;
        ++step) {
     // Anytime contract: a cancelled budget stops the walk within one step;
     // `best` is always a complete, valid mapping.

@@ -6,7 +6,9 @@
 // exp(-delta / T). The temperature starts at the initial mapping's makespan
 // and is multiplied by the cooling rate each step (Braun et al. use 90%
 // per temperature level; the default here cools gently per step, which is
-// equivalent in budget). The best mapping ever seen is returned.
+// equivalent in budget). The walk also stops once the temperature falls to
+// 1e-9 of its start, so scaling every ETC value by a power of two scales
+// the run exactly. The best mapping ever seen is returned.
 //
 // Like Genitor, SA draws from its own seeded stream, so a configured
 // instance is deterministic run-to-run but not tie-breaker-driven.
@@ -19,7 +21,6 @@ namespace hcsched::heuristics {
 struct SaConfig {
   std::size_t steps = 4000;
   double cooling = 0.995;      ///< per-step multiplicative temperature decay
-  double min_temperature = 1e-9;
   bool seed_with_minmin = true;  ///< else start from a random mapping
   std::uint64_t seed = 0x5AC0FFEEULL;
 };

@@ -13,9 +13,11 @@ namespace {
 /// Best single-task reassignment; returns false at a local minimum.
 /// Evaluates moves incrementally: moving task i from slot a to slot b only
 /// changes those two machines' loads, so each move is O(1) given the
-/// per-slot load vector.
+/// per-slot load vector. A move must beat the makespan by more than
+/// `margin`.
 bool best_short_hop(const ga::Evaluator& evaluator, ga::Chromosome& chromosome,
-                    std::vector<double>& load, double& makespan) {
+                    std::vector<double>& load, double& makespan,
+                    double margin) {
   const std::size_t machines = load.size();
   double best_span = makespan;
   std::size_t best_task = 0;
@@ -35,7 +37,7 @@ bool best_short_hop(const ga::Evaluator& evaluator, ga::Chromosome& chromosome,
       for (std::size_t m = 0; m < machines; ++m) {
         if (m != from && m != to && load[m] > span) span = load[m];
       }
-      if (span < best_span - 1e-12) {
+      if (span < best_span - margin) {
         best_span = span;
         best_task = i;
         best_slot = to;
@@ -93,6 +95,9 @@ Schedule TabuSearch::do_map_seeded(const Problem& problem, TieBreaker& ties,
   std::vector<ga::Chromosome> tabu;
   ga::Chromosome best = current;
   double best_span = evaluator.makespan(current.genes());
+  // Improvement margin relative to the initial makespan, so the search is
+  // scale-free.
+  const double margin = 1e-12 * best_span;
 
   const std::size_t min_distance = std::max<std::size_t>(1, current.size() / 2);
   for (std::size_t hop = 0; hop <= config_.max_long_hops; ++hop) {
@@ -102,7 +107,7 @@ Schedule TabuSearch::do_map_seeded(const Problem& problem, TieBreaker& ties,
     // Short-hop descent to a local minimum.
     std::vector<double> load = evaluator.loads(current.genes());
     double span = *std::max_element(load.begin(), load.end());
-    while (best_short_hop(evaluator, current, load, span)) {
+    while (best_short_hop(evaluator, current, load, span, margin)) {
       if (core::cancellation_requested()) break;
     }
     if (span < best_span) {

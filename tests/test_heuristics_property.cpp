@@ -6,10 +6,9 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <iterator>
 #include <numeric>
+#include <span>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -111,15 +110,6 @@ TEST_P(HeuristicPropertyTest, HandlesSubsetProblemsWithReadyTimes) {
   EXPECT_GE(s.completion_time(3), 25.0 - 1e-9);
 }
 
-/// Heuristics with absolute thresholds of their own, so scaling the ETC
-/// values can change what they do: SA's SaConfig::min_temperature (1e-9),
-/// GSA's temperature floor (1e-9) and the best_span - 1e-12 improvement
-/// margins of Tabu and both local searches. On the instances below GSA and
-/// both local searches already map differently at 2^-30; SA and Tabu do not,
-/// but nothing in them guarantees it.
-constexpr std::string_view kScaleDependent[] = {
-    "SA", "GSA", "Tabu", "Local-Search", "Local-Search-FI"};
-
 /// `m` with every cell times `scale`.
 EtcMatrix scaled(const EtcMatrix& m, double scale) {
   std::vector<double> cells(m.data().begin(), m.data().end());
@@ -199,10 +189,6 @@ TEST(HeuristicScaling, PowerOfTwoScalingScalesExactly) {
   const auto deterministic = [](Rng&) { return TieBreaker(); };
   const auto random = [](Rng& rng) { return TieBreaker(rng); };
   for (const std::string& name : hcsched::heuristics::known_heuristic_names()) {
-    if (std::find(std::begin(kScaleDependent), std::end(kScaleDependent),
-                  name) != std::end(kScaleDependent)) {
-      continue;
-    }
     const auto heuristic = hcsched::heuristics::make_heuristic(name);
     // 2^-30 puts distinct small integers about 1e-9 apart; 2^20 spreads
     // them about 1e6 apart.
@@ -235,6 +221,81 @@ TEST(HeuristicScaling, PowerOfTwoScalingScalesExactly) {
           expect_scales_exactly(*heuristic, ints, {0.0, 2.0, 1.0, 0.0}, ties,
                                 scale, case_at + " tie-rich");
         }
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+/// `m` with machine j's column moved to column perm[j].
+EtcMatrix relabelled(const EtcMatrix& m,
+                     const std::vector<hcsched::sched::MachineId>& perm) {
+  EtcMatrix out(m.num_tasks(), m.num_machines());
+  for (std::size_t t = 0; t < m.num_tasks(); ++t) {
+    for (std::size_t j = 0; j < m.num_machines(); ++j) {
+      out.at(static_cast<int>(t), perm[j]) =
+          m.at(static_cast<int>(t), static_cast<int>(j));
+    }
+  }
+  return out;
+}
+
+// Machine labels carry no meaning once no decision ties: relabelling the
+// machines of a tie-free instance relabels the schedule and the removed
+// machine of every round, and leaves every finishing time bit-identical.
+// Continuous CVB cells and distinct nonzero ready times keep the instances
+// tie-free (an idle machine finishes at its ready time); the tie counter
+// checks that they are.
+TEST(HeuristicRelabelling, PermutingMachinesPermutesTheIterativeRun) {
+  constexpr std::size_t kMachines = 6;
+  const std::vector<double> ready = {7.5, 31.25, 3.0, 55.5, 12.0, 20.75};
+  for (const char* name : {"MET", "MCT", "OLB", "Min-Min", "Max-Min",
+                           "Duplex", "SWA", "KPB", "Sufferage"}) {
+    const auto heuristic = hcsched::heuristics::make_heuristic(name);
+    const hcsched::core::IterativeMinimizer minimizer;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const EtcMatrix m = random_matrix(seed, 30, kMachines);
+      std::vector<hcsched::sched::MachineId> perm(kMachines);
+      std::iota(perm.begin(), perm.end(), 0);
+      Rng shuffler(seed + 70);
+      shuffler.shuffle(std::span(perm));
+      std::vector<double> perm_ready(kMachines);
+      for (std::size_t j = 0; j < kMachines; ++j) {
+        perm_ready[static_cast<std::size_t>(perm[j])] = ready[j];
+      }
+      const auto relabel = [&perm](hcsched::sched::MachineId j) {
+        return perm[static_cast<std::size_t>(j)];
+      };
+      const std::string at = std::string(name) + ", seed " +
+                             std::to_string(seed);
+
+      TieBreaker base_ties;
+      TieBreaker perm_ties;
+      const auto base = minimizer.run(*heuristic, whole(m, ready), base_ties);
+      const auto other = minimizer.run(
+          *heuristic, whole(relabelled(m, perm), perm_ready), perm_ties);
+      EXPECT_EQ(base_ties.tie_events(), 0u) << at;
+      EXPECT_EQ(perm_ties.tie_events(), 0u) << at;
+      ASSERT_EQ(base.iterations.size(), other.iterations.size()) << at;
+      for (std::size_t i = 0; i < base.iterations.size(); ++i) {
+        const auto& a = base.iterations[i];
+        const auto& b = other.iterations[i];
+        const std::string it = at + ", iteration " + std::to_string(i);
+        EXPECT_EQ(relabel(a.makespan_machine), b.makespan_machine) << it;
+        for (const auto task : a.problem().tasks()) {
+          EXPECT_EQ(relabel(*a.schedule.machine_of(task)),
+                    b.schedule.machine_of(task))
+              << it << ", task " << task;
+        }
+        for (const auto machine : a.problem().machines()) {
+          EXPECT_EQ(a.schedule.completion_time(machine),
+                    b.schedule.completion_time(relabel(machine)))
+              << it << ", machine " << machine;
+        }
+      }
+      for (const auto& [machine, finish] : base.final_finishing_times) {
+        EXPECT_EQ(finish, other.final_finish_of(relabel(machine)))
+            << at << ", machine " << machine;
       }
       if (::testing::Test::HasFailure()) return;
     }

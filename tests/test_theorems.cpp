@@ -13,6 +13,7 @@
 #include "core/witness.hpp"
 #include "etc/cvb_generator.hpp"
 #include "ga/genitor.hpp"
+#include "heuristics/fastpath/fastpath.hpp"
 #include "heuristics/registry.hpp"
 
 namespace {
@@ -120,6 +121,23 @@ TEST(Theorems, MetNearTieChainRegression) {
   const auto met = hcsched::heuristics::make_heuristic("MET");
   const auto report = verify_theorem(*met, Problem::full(m));
   EXPECT_TRUE(report.holds) << report.violation;
+}
+
+// The theorems at scale: one tie-rich 2048x8 instance, where almost every
+// decision is a tie, through both the kernels and the reference loops.
+// Integer cells keep every sum exact, so completion times must not move at
+// all.
+TEST(Theorems, MappingInvariantAtScale) {
+  const EtcMatrix m = tie_rich_matrix(4242, 2048, 8);
+  for (const bool use_kernels : {true, false}) {
+    const hcsched::heuristics::fastpath::ScopedMode scope(use_kernels);
+    for (const char* name : {"Min-Min", "MCT", "MET"}) {
+      const auto heuristic = hcsched::heuristics::make_heuristic(name);
+      const auto report = verify_theorem(*heuristic, Problem::full(m), 0.0);
+      EXPECT_TRUE(report.holds) << name << (use_kernels ? "" : " (reference)")
+                                << ": " << report.violation;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -25,13 +25,11 @@
 //     // lint:allow(<token>)                     flagged line or line above
 //
 // Usage:
-//   hcsched_analyze --root <dir> [--format text|sarif] [--out FILE]
-//                   [--sarif-out FILE] [--baseline FILE]
-//                   [--write-baseline FILE] [--cache FILE]
-//                   [--dump-callgraph FILE] [--verbose]
+//   hcsched_analyze --root <dir> [--sarif-out FILE] [--dump-callgraph FILE]
+//                   [--verbose]
 //
-// Exit code: 0 clean, 1 findings remain after baseline subtraction,
-// 2 usage/IO/config errors.
+// Findings are printed to stdout; --sarif-out also writes them as SARIF.
+// Exit code: 0 clean, 1 findings, 2 usage/IO/config errors.
 #include <iostream>
 #include <string_view>
 
@@ -41,11 +39,8 @@ namespace {
 
 int usage() {
   std::cerr
-      << "usage: hcsched_analyze --root <dir> [--format text|sarif]\n"
-         "                       [--out FILE] [--sarif-out FILE]\n"
-         "                       [--baseline FILE] [--write-baseline FILE]\n"
-         "                       [--cache FILE] [--dump-callgraph FILE]\n"
-         "                       [--verbose]\n";
+      << "usage: hcsched_analyze --root <dir> [--sarif-out FILE]\n"
+         "                       [--dump-callgraph FILE] [--verbose]\n";
   return 2;
 }
 
@@ -57,19 +52,8 @@ int main(int argc, char** argv) {
     const std::string_view arg = argv[i];
     if (arg == "--root" && i + 1 < argc) {
       opts.root = argv[++i];
-    } else if (arg == "--format" && i + 1 < argc) {
-      opts.format = argv[++i];
-      if (opts.format != "text" && opts.format != "sarif") return usage();
-    } else if (arg == "--out" && i + 1 < argc) {
-      opts.out = argv[++i];
     } else if (arg == "--sarif-out" && i + 1 < argc) {
       opts.sarif_out = argv[++i];
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      opts.baseline = argv[++i];
-    } else if (arg == "--write-baseline" && i + 1 < argc) {
-      opts.write_baseline = argv[++i];
-    } else if (arg == "--cache" && i + 1 < argc) {
-      opts.cache = argv[++i];
     } else if (arg == "--dump-callgraph" && i + 1 < argc) {
       opts.callgraph_out = argv[++i];
     } else if (arg == "--verbose") {

@@ -1,7 +1,6 @@
 // Cross-TU call graph + the four interprocedural rules, built on the
-// per-file FunctionRecords from symbols.cpp (which round-trip through the
-// incremental cache, so a warm run re-joins cached records without
-// re-lexing anything).
+// per-file FunctionRecords from symbols.cpp (joined from the summaries
+// alone, without re-lexing anything).
 //
 // Resolution is name-based with a visibility filter: a call site resolves
 // to the definitions of that name only when the name is declared somewhere
@@ -30,7 +29,7 @@ struct FileSummary;
 struct Finding;
 
 /// Run the interprocedural rules over all summaries (invoked from
-/// run_global_rules; always recomputed — only per-file records are cached).
+/// run_global_rules).
 void run_callgraph_rules(const std::vector<FileSummary>& summaries,
                          std::vector<Finding>& out);
 

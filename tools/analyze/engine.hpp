@@ -1,5 +1,6 @@
-// Engine orchestration for hcsched_analyze: source collection, the
-// file-hash-keyed incremental cache, baseline subtraction, and output.
+// Engine orchestration for hcsched_analyze: source collection, per-file
+// analysis, the cross-file rules, and output (text findings on stdout, an
+// optional SARIF file and call-graph dump).
 #pragma once
 
 #include <filesystem>
@@ -12,12 +13,7 @@ namespace analyze {
 
 struct Options {
   std::filesystem::path root;
-  std::string format = "text";      // "text" | "sarif" (primary stream)
-  std::filesystem::path out;        // primary output file; empty = stdout
-  std::filesystem::path sarif_out;  // extra SARIF copy (any format mode)
-  std::filesystem::path baseline;        // suppression baseline to apply
-  std::filesystem::path write_baseline;  // emit all findings as a baseline
-  std::filesystem::path cache;      // incremental cache file (read+write)
+  std::filesystem::path sarif_out;      // --sarif-out: SARIF 2.1.0 copy
   std::filesystem::path callgraph_out;  // --dump-callgraph artifact
   bool verbose = false;
 };
@@ -26,8 +22,8 @@ struct Options {
 /// results ordered, stable tool version, relative URIs).
 std::string to_sarif(const std::vector<Finding>& findings);
 
-/// Full analysis run. Returns the process exit code: 0 clean, 1 findings
-/// remain after baseline subtraction, 2 usage/IO/config error.
+/// Full analysis run. Returns the process exit code: 0 clean, 1 findings,
+/// 2 usage/IO/config error.
 int run(const Options& opts);
 
 }  // namespace analyze

@@ -421,7 +421,6 @@ FileSummary analyze_file(const std::string& relative,
                          const std::string& content) {
   FileSummary out;
   out.relative = relative;
-  out.hash = fnv1a64(content);
 
   FileContext ctx;
   std::vector<Token> all = lex(content);

@@ -1,12 +1,10 @@
-// Data model shared by the hcsched_analyze engine, rules, cache and
-// output writers.
+// Data model shared by the hcsched_analyze engine, rules and output
+// writers.
 //
 // Per file the engine produces a FileSummary: everything the cross-file
 // rules (include graph, layering, registry coverage, ...) need, plus the
-// findings of the purely file-local rules. Summaries are what the
-// file-hash-keyed incremental cache stores — a cache hit skips lexing and
-// local analysis entirely, and the cross-file rules (always recomputed;
-// they are cheap) run over summaries alone.
+// findings of the purely file-local rules. The cross-file rules run over
+// summaries alone, never over tokens.
 #pragma once
 
 #include <cstdint>
@@ -26,14 +24,14 @@ struct Finding {
   std::size_t line;   // 1-based; 0 = whole-file finding
   std::string rule;
   std::string message;
-  // Stable identity for the suppression baseline: FNV-1a of
-  // rule|file|message plus an ordinal among identical triples, so entries
-  // survive unrelated edits that shift line numbers.
+  // Stable identity for SARIF's partialFingerprints: FNV-1a of
+  // rule|file|message plus an ordinal among identical triples, so it
+  // survives unrelated edits that shift line numbers.
   std::uint64_t fingerprint = 0;
 };
 
 /// One #include directive, with the line-level allow escapes active on its
-/// line (so the graph rules can honor them from a cached summary).
+/// line (so the graph rules can honor them from the summary alone).
 struct IncludeInfo {
   std::string path;  // as written between the delimiters
   std::size_t line = 0;
@@ -70,7 +68,6 @@ constexpr int kRetRef = 2;
 
 struct FileSummary {
   std::string relative;  // '/'-separated, relative to the scanned root
-  std::uint64_t hash = 0;
 
   std::vector<IncludeInfo> includes;
   std::set<std::string> idents;     // code identifiers + directive words
@@ -85,7 +82,8 @@ struct FileSummary {
   std::vector<Finding> findings;      // file-local rules only
 };
 
-/// Transient per-file state the local rules run on (never cached).
+/// Transient per-file state the local rules run on (not kept in the
+/// summary).
 struct FileContext {
   std::vector<Token> tokens;    // code tokens, comments excluded
   std::vector<Token> comments;  // comment tokens, in order
@@ -110,8 +108,7 @@ struct FileContext {
 
 std::uint64_t fnv1a64(std::string_view data);
 
-/// Lex `content` and run every file-local rule; returns the summary
-/// (hash already filled from `content`).
+/// Lex `content` and run every file-local rule; returns the summary.
 FileSummary analyze_file(const std::string& relative,
                          const std::string& content);
 

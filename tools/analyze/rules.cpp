@@ -9,10 +9,9 @@
 // compiler's to flag (-Wconversion, -Wcatch-value=3 in hcsched_warnings).
 //
 // run_global_rules: rules needing more than one file — registry coverage,
-// fastpath differential coverage, test registration, metric docs (the docs
-// file can change without the source changing, so this never comes from
-// the cache), range-for-temporary (consults the repo-wide return-kind
-// map), and the include-graph rules from graph.cpp.
+// fastpath differential coverage, test registration, metric docs (reads
+// docs/OBSERVABILITY.md), range-for-temporary (consults the repo-wide
+// return-kind map), and the include-graph rules from graph.cpp.
 #include <algorithm>
 #include <fstream>
 #include <map>
@@ -400,8 +399,7 @@ void check_metric_docs(const std::filesystem::path& root,
                        std::vector<Finding>& out) {
   // Sites come from the token stream (identifier + '(' + string literal),
   // so a registration spelled inside a comment or string never counts.
-  // Global rather than cached-local: docs/OBSERVABILITY.md can change
-  // without any source file changing.
+  // Global rather than local: the check reads docs/OBSERVABILITY.md.
   std::string docs_text;
   {
     std::ifstream in(root / "docs" / "OBSERVABILITY.md");

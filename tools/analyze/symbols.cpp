@@ -49,7 +49,7 @@ std::size_t skip_balanced(const std::vector<Token>& toks, std::size_t i,
 
 /// The banned nondeterminism sources, shared with the token-level
 /// no-nondeterminism-in-core rule: identifier-level equivalents of its
-/// substring list, so cached records agree with what that rule reports.
+/// substring list, so the records agree with what that rule reports.
 struct TaintSpec {
   const char* ident;
   const char* token;   // spelled as the local rule spells it

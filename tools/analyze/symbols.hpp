@@ -16,10 +16,9 @@
 //     the dead-symbol rule: function pointers, factory tables, lambdas).
 //
 // Records are pure per-file facts — they carry no cross-file resolution —
-// so they live in the FileSummary and round-trip through the incremental
-// cache; a warm cache hit skips the indexing pass entirely. The cross-TU
-// joins (call graph, lock graph, taint/liveness fixpoints) happen in
-// callgraph.cpp over the cached records.
+// so they live in the FileSummary. The cross-TU joins (call graph, lock
+// graph, taint/liveness fixpoints) happen in callgraph.cpp over those
+// records.
 //
 // Approximations, by design (see docs/STATIC_ANALYSIS.md):
 //   * lambdas are attributed to their enclosing function — a call made
@@ -104,8 +103,7 @@ struct FunctionRecord {
 };
 
 /// Index every function definition in the file (appends to out.functions,
-/// including the trailing file-scope record). Invoked by analyze_file;
-/// cache hits skip it.
+/// including the trailing file-scope record). Invoked by analyze_file.
 void index_symbols(const std::string& relative, const FileContext& ctx,
                    FileSummary& out);
 
